@@ -28,7 +28,7 @@ def describe(name, tf):
 
 for end in ("low", "high"):
     pair = select_restricted(table, spec.wi, grid, end)
-    print(f"\nrestriction at the {end}-frequency end ({pair.mode}):")
+    print(f"\nrestriction at the {end}-frequency end (mode {end}):")
     describe("lower", pair.lower)
     describe("upper", pair.upper)
 

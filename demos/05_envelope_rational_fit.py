@@ -16,7 +16,7 @@ from trackbounds import (
     cleanup,
     complex_envelope,
     envelope_of,
-    family_tfs,
+    family_response,
     fit,
     make_grid,
     report,
@@ -25,8 +25,8 @@ from trackbounds import (
 spec = Spec(mp=0.15, tr=5.0, ts=30.0, dev=0.03, wi=5)
 table = build_wd(spec, 0.05)
 grid = make_grid(0.01, 100.0, 200)
-members = [tf for i in range(1, spec.wi + 1) for tf in family_tfs(table, i)]
-print(f"family size: {len(members)} members over {len(grid)} grid points")
+members = family_response(table, spec.wi, grid.omegas)
+print(f"family size: {spec.wi * len(table)} members over {len(grid)} grid points")
 
 # ---------------------------------------------------------------------------
 # pointwise envelopes

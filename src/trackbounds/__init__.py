@@ -23,6 +23,7 @@ from .family import (
     Spec,
     WdTable,
     build_wd,
+    family_response,
     family_tfs,
     format_wd_table,
     parse_wd_table,
@@ -91,7 +92,7 @@ __all__ = [
     "ToleranceBand", "TimeDomainMetrics",
     "newton_inverse_interp", "unit_rise_time", "unit_settling_time",
     "omega_n_for", "extract_metrics",
-    "Spec", "WdTable", "build_wd", "family_tfs",
+    "Spec", "WdTable", "build_wd", "family_tfs", "family_response",
     "format_wd_table", "parse_wd_table", "read_wd_table", "write_wd_table",
     "EnvelopeCurve", "BoundPair",
     "make_grid", "envelope_of", "select_restricted", "complex_envelope",

@@ -12,7 +12,7 @@ import sys
 
 from .errors import NumericalError
 from .family import Spec, read_wd_table
-from .pipeline import emit, format_summary, run_pipeline
+from .pipeline import MODES, emit, format_summary, run_pipeline
 
 __all__ = ["build_parser", "main"]
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="settlement band half-width fraction, e.g. 0.03")
     p.add_argument("--wi", type=int, required=True,
                    help="largest natural-frequency multiplier of the family")
-    p.add_argument("--mode", choices=("low", "high", "envelope"), default="low",
+    p.add_argument("--mode", choices=MODES, default="low",
                    help="bound construction mode (default: low)")
     p.add_argument("--zeta-step", type=float, default=0.05,
                    help="damping sweep step (default: 0.05)")

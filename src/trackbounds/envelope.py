@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import WdTable, family_tfs
-from .tf_model import (
-    FrequencyGrid,
-    FrequencyResponse,
-    RationalTF,
-    eval_poly,
-    freq_response,
-    roots,
-)
+from .family import WdTable, family_response
+from .sos_core import make_tf, scale_omega
+from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF, roots
 
 __all__ = [
     "EnvelopeCurve",
@@ -34,7 +28,6 @@ __all__ = [
     "format_envelope",
 ]
 
-_MODES = ("low_freq", "high_freq", "envelope")
 _REL_TIE = 1e-12
 
 
@@ -63,11 +56,8 @@ class BoundPair:
 
     lower: RationalTF
     upper: RationalTF
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
         for name, tf in (("lower", self.lower), ("upper", self.upper)):
             if tf.den_degree >= 1 and np.max(roots(tf.den).real) >= 0:
                 raise ValueError(f"{name} bound must be strictly stable")
@@ -84,52 +74,26 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
 
 
-def envelope_of(tfs, grid: FrequencyGrid, side: str,
-                phase_from: str = "independent") -> EnvelopeCurve:
-    """Pointwise envelope of the member responses.
+def envelope_of(responses, grid: FrequencyGrid, side: str) -> EnvelopeCurve:
+    """Pointwise envelope of complex member responses.
 
-    side is "lower" or "upper". By default magnitude and phase extremes are
-    taken independently per frequency; phase_from="magnitude_extremum"
-    instead carries the phase of whichever member set the magnitude extreme.
+    responses holds one response per member along its last axis, sampled
+    on the grid, for instance the array family_response returns. side is
+    "lower" or "upper"; magnitude and unwrapped phase extremes are taken
+    independently per frequency over all members.
     """
     if side not in ("lower", "upper"):
         raise ValueError('side must be "lower" or "upper"')
-    if phase_from not in ("independent", "magnitude_extremum"):
-        raise ValueError('phase_from must be "independent" or "magnitude_extremum"')
-    tfs = list(tfs)
-    if not tfs:
+    resp = np.asarray(responses, dtype=complex)
+    if resp.ndim < 2 or resp.shape[-1] != len(grid):
+        raise ValueError("responses must hold member rows sampled on the grid")
+    resp = resp.reshape(-1, len(grid))
+    if resp.shape[0] == 0:
         raise ValueError("at least one member is required")
-
-    responses = [freq_response(tf, grid) for tf in tfs]
-    mags = np.array([r.magnitude() for r in responses])
-    phases = np.array([r.phase() for r in responses])
-
     pick = np.min if side == "lower" else np.max
-    mag_env = pick(mags, axis=0)
-    if phase_from == "independent":
-        phase_env = pick(phases, axis=0)
-    else:
-        arg = np.argmin(mags, axis=0) if side == "lower" else np.argmax(mags, axis=0)
-        phase_env = phases[arg, np.arange(mags.shape[1])]
+    mag_env = pick(np.abs(resp), axis=0)
+    phase_env = pick(np.unwrap(np.angle(resp), axis=-1), axis=0)
     return EnvelopeCurve(grid, mag_env, phase_env)
-
-
-def _magnitude_at(tf: RationalTF, omega: float) -> float:
-    s = 1j * omega
-    return abs(eval_poly(tf.num, s) / eval_poly(tf.den, s))
-
-
-def _pick_member(tfs, omega: float, want: str) -> RationalTF:
-    # ties within _REL_TIE resolve to the earliest (lowest zeta) member
-    best = tfs[0]
-    best_mag = _magnitude_at(best, omega)
-    for tf in tfs[1:]:
-        mag = _magnitude_at(tf, omega)
-        if want == "min" and mag < best_mag * (1 - _REL_TIE):
-            best, best_mag = tf, mag
-        elif want == "max" and mag > best_mag * (1 + _REL_TIE):
-            best, best_mag = tf, mag
-    return best
 
 
 def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) -> BoundPair:
@@ -142,9 +106,17 @@ def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) ->
     if end not in ("low", "high"):
         raise ValueError('end must be "low" or "high"')
     omega = grid.omegas[0] if end == "low" else grid.omegas[-1]
-    lower = _pick_member(family_tfs(table, 1), omega, "min")
-    upper = _pick_member(family_tfs(table, wi), omega, "max")
-    return BoundPair(lower, upper, "low_freq" if end == "low" else "high_freq")
+    mags = np.abs(family_response(table, wi, [omega])[:, :, 0]).tolist()
+    lower, upper = 0, 0
+    # scan in zeta order: a later member replaces the pick only when it is
+    # better by more than _REL_TIE, so near-ties keep the lower zeta
+    for k in range(1, len(table.pairs)):
+        if mags[0][k] < mags[0][lower] * (1 - _REL_TIE):
+            lower = k
+        if mags[-1][k] > mags[-1][upper] * (1 + _REL_TIE):
+            upper = k
+    return BoundPair(make_tf(table.pairs[lower]),
+                     make_tf(scale_omega(table.pairs[upper], wi)))
 
 
 def complex_envelope(curve: EnvelopeCurve) -> FrequencyResponse:

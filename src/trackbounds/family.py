@@ -23,6 +23,7 @@ __all__ = [
     "WdTable",
     "build_wd",
     "family_tfs",
+    "family_response",
     "format_wd_table",
     "parse_wd_table",
     "write_wd_table",
@@ -110,6 +111,22 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
 def family_tfs(table: WdTable, i: int) -> list[RationalTF]:
     """Transfer functions of every pair, natural frequencies scaled by i."""
     return [make_tf(scale_omega(p, i)) for p in table.pairs]
+
+
+def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:
+    """Complex responses H[i-1, k, j] of pair k scaled by i = 1..wi at omegas[j].
+
+    Evaluates wn^2 / (s^2 + 2*zeta*wn*s + wn^2) at s = j*omega by
+    broadcasting, in the operation order of eval_poly's Horner rule, so
+    every entry equals freq_response of the matching family_tfs member.
+    """
+    if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
+        raise ValueError("frequency multiplier count must be an integer >= 1")
+    wn = table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
+    z = table.zetas()[None, :, None]
+    s = 1j * np.asarray(omegas, dtype=float)
+    wn2 = wn * wn
+    return wn2 / ((s + 2 * z * wn) * s + wn2)
 
 
 def format_wd_table(table: WdTable) -> str:

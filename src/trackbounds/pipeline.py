@@ -26,13 +26,14 @@ from .envelope import (
     select_restricted,
 )
 from .errors import NumericalError
-from .family import Spec, WdTable, build_wd, family_tfs, format_wd_table
+from .family import Spec, WdTable, build_wd, family_response, format_wd_table
 from .ratfit import FitProblem, FitReport, cleanup, fit, format_fit_report, gain_adjust, report
-from .simulate import FinalTD, StepTrace, format_trace, settled_step_response
-from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF, freq_response
-from .timing import TimeDomainMetrics, ToleranceBand, extract_metrics
+from .simulate import FinalTD, StepTrace, format_trace, round_trip
+from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
+from .timing import TimeDomainMetrics
 
 __all__ = [
+    "MODES",
     "PipelineResult",
     "SummaryDoc",
     "run_pipeline",
@@ -42,7 +43,7 @@ __all__ = [
     "summary_skeleton",
 ]
 
-_CLI_MODES = {"low": "low", "high": "high", "envelope": "envelope"}
+MODES = ("low", "high", "envelope")
 
 
 @dataclass
@@ -81,8 +82,8 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
     requested orders to the family envelopes. A pre-computed wd_table
     bypasses the damping sweep.
     """
-    if mode not in _CLI_MODES:
-        raise ValueError('mode must be one of "low", "high", "envelope"')
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
 
     with _stage("grid"):
         grid = make_grid(w_min, w_max, points)
@@ -97,40 +98,40 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
             bounds = select_restricted(table, spec.wi, grid, mode)
     else:
         with _stage("envelope"):
-            members = [tf for i in range(1, spec.wi + 1) for tf in family_tfs(table, i)]
-            lo_curve = envelope_of(members, grid, "lower")
-            hi_curve = envelope_of(members, grid, "upper")
+            responses = family_response(table, spec.wi, grid.omegas)
+            lo_curve = envelope_of(responses, grid, "lower")
+            hi_curve = envelope_of(responses, grid, "upper")
             lo_data = complex_envelope(lo_curve)
             hi_data = complex_envelope(hi_curve)
         fitted = []
-        for data in (lo_data, hi_data):
+        for side, data in (("lower", lo_data), ("upper", hi_data)):
             with _stage("fit"):
                 raw = fit(FitProblem(data, zeros, poles))
             with _stage("cleanup"):
                 tf = cleanup(raw, ref_omega=grid.omegas[0])
+                # the round trip needs a positive final value; gain_adjust
+                # below rescales any non-zero DC gain to 1
+                if not adjust_gain:
+                    gain = dc_gain(tf)
+                    if not gain > 0:
+                        raise NumericalError(f"{side} bound has non-positive DC gain {gain!r}")
             if adjust_gain:
                 with _stage("gain_adjust"):
                     tf = gain_adjust(tf, 1.0)
             fitted.append(tf)
         with _stage("fit"):
-            bounds = BoundPair(fitted[0], fitted[1], "envelope")
+            bounds = BoundPair(fitted[0], fitted[1])
             fit_reports = (report(fitted[0], lo_data), report(fitted[1], hi_data))
         envelopes = (lo_curve, hi_curve)
         envelope_data = (lo_data, hi_data)
 
     with _stage("round_trip"):
-        band = ToleranceBand(spec.dev)
-        lo_trace = settled_step_response(bounds.lower, spec.ts, band)
-        hi_trace = settled_step_response(bounds.upper, spec.ts, band)
-        final = FinalTD(
-            lower=extract_metrics(lo_trace.times, lo_trace.values, band),
-            upper=extract_metrics(hi_trace.times, hi_trace.values, band),
-        )
+        final, traces = round_trip(bounds, spec)
 
     return PipelineResult(
         spec=spec, mode=mode, wd=table, bounds=bounds, final=final, grid=grid,
         fit_reports=fit_reports, envelopes=envelopes, envelope_data=envelope_data,
-        traces=(lo_trace, hi_trace),
+        traces=traces,
     )
 
 
@@ -286,29 +287,16 @@ def parse_summary(text: str) -> SummaryDoc:
     )
 
 
-def _format_bode(tf: RationalTF, grid: FrequencyGrid) -> str:
-    resp = freq_response(tf, grid)
-    mag = resp.magnitude()
-    ph = np.degrees(resp.phase())
-    lines = ["omega,mag,phase_deg"]
-    lines += [
-        f"{float(w)!r},{float(m)!r},{float(p)!r}"
-        for w, m, p in zip(grid.omegas, mag, ph)
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _format_family_bode(result: PipelineResult) -> str:
+    responses = family_response(result.wd, result.spec.wi, result.grid.omegas)
+    omegas = [repr(w) for w in result.grid.omegas.tolist()]
     lines = ["zeta,i,omega,mag,phase_deg"]
-    for i in range(1, result.spec.wi + 1):
-        for params, tf in zip(result.wd.pairs, family_tfs(result.wd, i)):
-            resp = freq_response(tf, result.grid)
-            mag = resp.magnitude()
-            ph = np.degrees(resp.phase())
-            lines += [
-                f"{params.zeta!r},{i},{float(w)!r},{float(m)!r},{float(p)!r}"
-                for w, m, p in zip(result.grid.omegas, mag, ph)
-            ]
+    for i, rows in enumerate(responses, start=1):
+        mags = np.abs(rows).tolist()
+        phases = np.degrees(np.unwrap(np.angle(rows))).tolist()
+        for params, mag, phase in zip(result.wd.pairs, mags, phases):
+            head = f"{float(params.zeta)!r},{i},"
+            lines += [f"{head}{w},{m!r},{p!r}" for w, m, p in zip(omegas, mag, phase)]
     return "\n".join(lines) + "\n"
 
 
@@ -325,8 +313,10 @@ def emit(result: PipelineResult, out_dir) -> list:
 
     write("summary.txt", format_summary(result))
     write("wd_table.csv", format_wd_table(result.wd))
-    write("bode_lower.csv", _format_bode(result.bounds.lower, result.grid))
-    write("bode_upper.csv", _format_bode(result.bounds.upper, result.grid))
+    for side, tf in (("lower", result.bounds.lower), ("upper", result.bounds.upper)):
+        resp = freq_response(tf, result.grid)
+        curve = EnvelopeCurve(result.grid, resp.magnitude(), resp.phase())
+        write(f"bode_{side}.csv", format_envelope(curve))
     write("bode_family.csv", _format_family_bode(result))
     if result.traces is not None:
         write("trace_lower.csv", format_trace(result.traces[0]))

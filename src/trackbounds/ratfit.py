@@ -69,12 +69,8 @@ class FitReport:
     max_phase_error_deg: float
 
 
-def fit(problem: FitProblem, weight_by_inverse_magnitude: bool = False) -> RationalTF:
-    """Solve the linearized fit by least squares.
-
-    The optional 1/|T'| row weighting rebalances the equations toward
-    frequencies where the data is quiet; it is off by default.
-    """
+def fit(problem: FitProblem) -> RationalTF:
+    """Solve the linearized fit by least squares."""
     data = problem.data
     n, m = problem.n, problem.m
     omegas = data.grid.omegas
@@ -91,11 +87,6 @@ def fit(problem: FitProblem, weight_by_inverse_magnitude: bool = False) -> Ratio
     cols += [-(sn**j) for j in range(n + 1)]
     mat = np.column_stack(cols)
     rhs = -(sn**m) * vals
-
-    if weight_by_inverse_magnitude:
-        mags = np.abs(vals)
-        mat = mat / mags[:, None]
-        rhs = rhs / mags
 
     a_mat = np.vstack([mat.real, mat.imag])
     y = np.concatenate([rhs.real, rhs.imag])

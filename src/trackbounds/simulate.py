@@ -18,18 +18,22 @@ from .envelope import BoundPair
 from .errors import NumericalError
 from .family import Spec
 from .tf_model import RationalTF, roots
-from .timing import TimeDomainMetrics, ToleranceBand, extract_metrics
+from .timing import TimeDomainMetrics, ToleranceBand, extract_metrics, settled_final_value
 
 __all__ = [
     "StepTrace",
     "FinalTD",
     "step_response",
     "settled_step_response",
+    "round_trip",
     "final_td",
     "format_trace",
 ]
 
 _MAX_EXTENSIONS = 16
+# largest state history, (steps + 1) * states, one trace may hold: 2**24
+# float64 values are 128 MiB, far above any trace the default settings need
+_MAX_STATE_SAMPLES = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +115,10 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     force = (h * (np.eye(m) + ha / 2 + ha @ ha / 6 + ha @ ha @ ha / 24)) @ b
 
     n_steps = int(math.floor(t_end / h + 1e-9))
+    if (n_steps + 1) * m > _MAX_STATE_SAMPLES:
+        raise NumericalError(
+            f"simulation needs {n_steps + 1} steps of {m} states, over the budget of "
+            f"{_MAX_STATE_SAMPLES} samples: the time scales are too far apart")
     states = np.empty((n_steps + 1, m))
     x = np.zeros(m)
     states[0] = x
@@ -122,34 +130,29 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     return StepTrace(times, values, h)
 
 
-def _is_settled(values: np.ndarray, dev: float) -> bool:
-    n = values.size
-    final = float(np.mean(values[-max(1, round(0.05 * n)):]))
-    if final <= 0:
-        return False
-    tail = values[-max(1, round(0.10 * n)):]
-    return bool(np.all(np.abs(tail - final) <= dev * final))
-
-
 def settled_step_response(tf: RationalTF, ts_spec: float, band: ToleranceBand) -> StepTrace:
     """Simulate starting at t_end = 3*ts, doubling until the trace settles."""
     t_end = 3.0 * ts_spec
     for _ in range(_MAX_EXTENSIONS):
         trace = step_response(tf, t_end)
-        if _is_settled(trace.values, band.dev):
+        if settled_final_value(trace.values, band) is not None:
             return trace
         t_end *= 2
     raise NumericalError("response did not settle within the extension budget")
 
 
+def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace, StepTrace]]:
+    """Simulate both bounds until settled; their metrics and traces."""
+    band = ToleranceBand(spec.dev)
+    traces = tuple(settled_step_response(tf, spec.ts, band)
+                   for tf in (bounds.lower, bounds.upper))
+    lower, upper = (extract_metrics(tr.times, tr.values, band) for tr in traces)
+    return FinalTD(lower=lower, upper=upper), traces
+
+
 def final_td(bounds: BoundPair, spec: Spec) -> FinalTD:
     """Round-trip verification: simulate both bounds and measure them."""
-    band = ToleranceBand(spec.dev)
-    metrics = {}
-    for name, tf in (("lower", bounds.lower), ("upper", bounds.upper)):
-        trace = settled_step_response(tf, spec.ts, band)
-        metrics[name] = extract_metrics(trace.times, trace.values, band)
-    return FinalTD(lower=metrics["lower"], upper=metrics["upper"])
+    return round_trip(bounds, spec)[0]
 
 
 def format_trace(trace: StepTrace) -> str:

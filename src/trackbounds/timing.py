@@ -24,6 +24,7 @@ __all__ = [
     "unit_rise_time",
     "unit_settling_time",
     "omega_n_for",
+    "settled_final_value",
     "extract_metrics",
 ]
 
@@ -200,11 +201,29 @@ def omega_n_for(zeta: float, tr_spec: float, ts_spec: float, band: ToleranceBand
                unit_settling_time(zeta, band) / ts_spec)
 
 
+def settled_final_value(values, band: ToleranceBand) -> float | None:
+    """Final value of a step trace, or None while the trace is unsettled.
+
+    The final value is the mean of the last 5% of samples; the trace is
+    settled when every sample in its final 10% lies inside the band around
+    it. A final value <= 0 cannot settle into a band and raises
+    NumericalError.
+    """
+    y = np.asarray(values, dtype=float)
+    n = y.size
+    final = float(np.mean(y[-max(1, round(0.05 * n)):]))
+    if not final > 0:
+        raise NumericalError(f"degenerate final value {final!r}: the response is not positive")
+    tail = y[-max(1, round(0.10 * n)):]
+    if np.any(np.abs(tail - final) > band.dev * final):
+        return None
+    return final
+
+
 def extract_metrics(times, values, band: ToleranceBand) -> TimeDomainMetrics:
     """Measure mp, tr, ts and the final value of a uniformly sampled trace.
 
-    The final value is the mean of the last 5% of samples; the trace must
-    already be settled (every sample in its final 10% inside the band).
+    The trace must already be settled by the rule of settled_final_value.
     Crossings are located by linear interpolation between samples.
     """
     t = np.asarray(times, dtype=float)
@@ -212,15 +231,13 @@ def extract_metrics(times, values, band: ToleranceBand) -> TimeDomainMetrics:
     if t.ndim != 1 or t.shape != y.shape or t.size < 20:
         raise ValueError("trace must be two matching 1-D arrays with at least 20 samples")
 
-    n = t.size
-    final = float(np.mean(y[-max(1, round(0.05 * n)):]))
-    if final <= 0:
-        raise ValueError("degenerate final value")
-
-    half_band = band.dev * final
-    tail = y[-max(1, round(0.10 * n)):]
-    if np.any(np.abs(tail - final) > half_band):
+    try:
+        final = settled_final_value(y, band)
+    except NumericalError as exc:
+        raise ValueError(str(exc)) from None
+    if final is None:
         raise ValueError("unsettled trace")
+    half_band = band.dev * final
 
     mp = max(0.0, (float(np.max(y)) - final) / final)
 

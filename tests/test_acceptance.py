@@ -22,7 +22,7 @@ from trackbounds import (
     complex_envelope,
     envelope_of,
     extract_metrics,
-    family_tfs,
+    family_response,
     fit,
     freq_response,
     make_grid,
@@ -106,8 +106,7 @@ class TestAcceptance:
     def test_criterion_06_envelope_fits(self, example_wd_table):
         start = time.perf_counter()
         grid = make_grid(0.01, 100.0, 200)
-        members = [tf for i in range(1, SPEC.wi + 1)
-                   for tf in family_tfs(example_wd_table, i)]
+        members = family_response(example_wd_table, SPEC.wi, grid.omegas)
         lo_data = complex_envelope(envelope_of(members, grid, "lower"))
         hi_data = complex_envelope(envelope_of(members, grid, "upper"))
 

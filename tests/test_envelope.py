@@ -8,9 +8,12 @@ from trackbounds import (
     EnvelopeCurve,
     RationalTF,
     SecondOrderParams,
+    Spec,
     WdTable,
+    build_wd,
     complex_envelope,
     envelope_of,
+    family_response,
     family_tfs,
     format_envelope,
     freq_response,
@@ -40,13 +43,17 @@ class TestMakeGrid:
             make_grid(0.1, 10.0, 1)
 
 
+def responses(tfs, grid):
+    return np.array([freq_response(tf, grid).values for tf in tfs])
+
+
 class TestEnvelopeOf:
     def test_single_tf_identity(self):
         tf = make_tf(SecondOrderParams(1.0, 0.5))
         grid = make_grid(0.01, 100.0, 50)
         resp = freq_response(tf, grid)
         for side in ("lower", "upper"):
-            env = envelope_of([tf], grid, side)
+            env = envelope_of(responses([tf], grid), grid, side)
             assert np.allclose(env.magnitude, resp.magnitude(), rtol=1e-14)
             assert np.allclose(env.phase, resp.phase(), rtol=1e-14)
 
@@ -54,7 +61,7 @@ class TestEnvelopeOf:
         half = RationalTF([0.5], [1.0, 1.0])
         one = RationalTF([1.0], [1.0, 1.0])
         grid = make_grid(0.01, 100.0, 40)
-        env = envelope_of([half, one], grid, "lower")
+        env = envelope_of(responses([half, one], grid), grid, "lower")
         assert np.allclose(env.magnitude, freq_response(half, grid).magnitude(),
                            rtol=1e-14)
 
@@ -62,8 +69,9 @@ class TestEnvelopeOf:
         grid = make_grid(0.01, 100.0, 101)
         members = [tf for i in range(1, 6)
                    for tf in family_tfs(example_wd_table, i)]
-        lo = envelope_of(members, grid, "lower")
-        hi = envelope_of(members, grid, "upper")
+        family = family_response(example_wd_table, 5, grid.omegas)
+        lo = envelope_of(family, grid, "lower")
+        hi = envelope_of(family, grid, "upper")
         for tf in members:
             resp = freq_response(tf, grid)
             assert np.all(lo.magnitude <= resp.magnitude() + 1e-15)
@@ -75,32 +83,11 @@ class TestEnvelopeOf:
         tf = make_tf(SecondOrderParams(1.0, 0.5))
         grid = make_grid(0.1, 10.0, 10)
         with pytest.raises(ValueError):
-            envelope_of([tf], grid, "middle")
+            envelope_of(responses([tf], grid), grid, "middle")
         with pytest.raises(ValueError):
-            envelope_of([], grid, "lower")
-
-    def test_magnitude_extremum_phase_switch(self):
-        # two first-order sections: the slower one has the smaller magnitude
-        # and the more negative phase at high frequency
-        slow = RationalTF([1.0], [1.0, 1.0])
-        fast = RationalTF([10.0], [1.0, 10.0])
-        grid = make_grid(0.1, 50.0, 30)
-        env = envelope_of([slow, fast], grid, "lower",
-                          phase_from="magnitude_extremum")
-        resp_slow = freq_response(slow, grid)
-        assert np.allclose(env.magnitude, resp_slow.magnitude(), rtol=1e-12)
-        assert np.allclose(env.phase, resp_slow.phase(), rtol=1e-12)
-
-    def test_independent_phase_can_differ_from_extremum_member(self):
-        slow = RationalTF([1.0], [1.0, 1.0])
-        # second-order member: same DC gain, steeper late phase
-        ring = make_tf(SecondOrderParams(3.0, 0.4))
-        grid = make_grid(0.1, 50.0, 30)
-        independent = envelope_of([slow, ring], grid, "lower")
-        picked = envelope_of([slow, ring], grid, "lower",
-                             phase_from="magnitude_extremum")
-        assert np.all(independent.phase <= picked.phase + 1e-12)
-        assert np.any(independent.phase < picked.phase - 1e-6)
+            envelope_of(np.empty((0, len(grid))), grid, "lower")
+        with pytest.raises(ValueError):
+            envelope_of(responses([tf], make_grid(0.1, 10.0, 11)), grid, "lower")
 
 
 class TestComplexEnvelope:
@@ -113,7 +100,7 @@ class TestComplexEnvelope:
     def test_round_trip_through_single_tf(self):
         tf = make_tf(SecondOrderParams(0.7, 0.6))
         grid = make_grid(0.01, 100.0, 64)
-        env = envelope_of([tf], grid, "upper")
+        env = envelope_of(responses([tf], grid), grid, "upper")
         resp = complex_envelope(env)
         ref = freq_response(tf, grid)
         assert np.allclose(resp.values, ref.values, rtol=1e-12)
@@ -123,7 +110,7 @@ class TestSelectRestricted:
     def test_low_end_matches_published_pair(self, example_wd_table):
         grid = make_grid(0.01, 100.0, 200)
         pair = select_restricted(example_wd_table, 5, grid, "low")
-        assert pair.mode == "low_freq"
+        assert isinstance(pair, BoundPair)
         assert np.allclose(pair.lower.num, [0.3923], rtol=5e-3)
         assert np.allclose(pair.lower.den, [1.0, 1.149, 0.3923], rtol=5e-3)
         assert np.allclose(pair.upper.num, [2.843], rtol=5e-3)
@@ -132,7 +119,7 @@ class TestSelectRestricted:
     def test_high_end_matches_published_pair(self, example_wd_table):
         grid = make_grid(0.01, 100.0, 200)
         pair = select_restricted(example_wd_table, 5, grid, "high")
-        assert pair.mode == "high_freq"
+        assert isinstance(pair, BoundPair)
         assert np.allclose(pair.lower.num, [0.1137], rtol=5e-3)
         assert np.allclose(pair.lower.den, [1.0, 0.3486, 0.1137], rtol=5e-3)
         assert np.allclose(pair.upper.num, [13.59], rtol=5e-3)
@@ -196,6 +183,48 @@ class TestSelectRestricted:
         assert np.array_equal(pair.lower.den, ref.den)
         assert np.array_equal(pair.upper.den, ref.den)
 
+    def test_chained_near_ties_scan_in_zeta_order(self):
+        # (4*zeta^2-2)/omega_n^2 grows by 1.2e-4 per member, so at w = 1e-4
+        # each magnitude is about 0.6e-12 relative below the previous one:
+        # only the third member beats the first by more than 1e-12
+        members = [SecondOrderParams(np.sqrt((4 * z * z - 2) / (0.56 + k * 1.2e-4)), z)
+                   for k, z in enumerate((0.8, 0.85, 0.9))]
+        table = WdTable(tuple(members))
+        grid = make_grid(1e-4, 1.0, 30)
+        mags = [freq_response(make_tf(p), grid).magnitude()[0] for p in members]
+        steps = [1 - mags[k + 1] / mags[k] for k in range(2)]
+        assert all(0.5e-12 < d < 0.7e-12 for d in steps)
+        pair = select_restricted(table, 1, grid, "low")
+        assert np.array_equal(pair.lower.den, make_tf(members[2]).den)
+        assert np.array_equal(pair.upper.den, make_tf(members[0]).den)
+
+    @staticmethod
+    def brute_force(members, grid, k, want):
+        # scan in zeta order; a later member wins only by more than 1e-12
+        mags = [freq_response(tf, grid).magnitude()[k] for tf in members]
+        best = 0
+        for j, mag in enumerate(mags):
+            if want == "min" and mag < mags[best] * (1 - 1e-12):
+                best = j
+            elif want == "max" and mag > mags[best] * (1 + 1e-12):
+                best = j
+        return members[best]
+
+    def test_matches_brute_force_over_family_members(self):
+        rng = np.random.default_rng(79)
+        for zeta_step in (0.05, 0.01, 0.05, 0.01):
+            spec = Spec(mp=rng.uniform(0.02, 0.4), tr=rng.uniform(0.5, 10.0),
+                        ts=rng.uniform(20.0, 60.0), dev=0.03, wi=int(rng.integers(1, 25)))
+            table = build_wd(spec, zeta_step)
+            grid = make_grid(rng.uniform(1e-3, 0.1), rng.uniform(10.0, 1e3), 20)
+            for end, k in (("low", 0), ("high", -1)):
+                pair = select_restricted(table, spec.wi, grid, end)
+                lower = self.brute_force(family_tfs(table, 1), grid, k, "min")
+                upper = self.brute_force(family_tfs(table, spec.wi), grid, k, "max")
+                for got, ref in ((pair.lower, lower), (pair.upper, upper)):
+                    assert np.array_equal(got.num, ref.num)
+                    assert np.array_equal(got.den, ref.den)
+
     def test_end_validation(self, example_wd_table):
         grid = make_grid(0.1, 10.0, 10)
         with pytest.raises(ValueError):
@@ -203,16 +232,11 @@ class TestSelectRestricted:
 
 
 class TestBoundPair:
-    def test_mode_validation(self):
-        tf = make_tf(SecondOrderParams(1.0, 0.5))
-        with pytest.raises(ValueError):
-            BoundPair(tf, tf, "sideways")
-
     def test_stability_required(self):
         stable = make_tf(SecondOrderParams(1.0, 0.5))
         unstable = RationalTF([1.0], [1.0, -1.0])
         with pytest.raises(ValueError, match="stable"):
-            BoundPair(stable, unstable, "envelope")
+            BoundPair(stable, unstable)
 
 
 class TestFormatEnvelope:

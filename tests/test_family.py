@@ -9,8 +9,11 @@ from trackbounds import (
     Spec,
     WdTable,
     build_wd,
+    family_response,
     family_tfs,
     format_wd_table,
+    freq_response,
+    make_grid,
     make_tf,
     overshoot,
     parse_wd_table,
@@ -155,6 +158,30 @@ class TestFamilyTfs:
     def test_multiplier_validation(self, example_wd_table):
         with pytest.raises(ValueError):
             family_tfs(example_wd_table, 0)
+
+
+class TestFamilyResponse:
+    @staticmethod
+    def stacked(table, wi, grid):
+        return np.array([[freq_response(tf, grid).values for tf in family_tfs(table, i)]
+                         for i in range(1, wi + 1)])
+
+    def test_worked_example_equals_member_responses(self, example_wd_table):
+        grid = make_grid(0.01, 100.0, 200)
+        got = family_response(example_wd_table, 5, grid.omegas)
+        assert got.shape == (5, 10, 200)
+        assert np.array_equal(got, self.stacked(example_wd_table, 5, grid))
+
+    def test_wide_fine_family_equals_member_responses(self):
+        table = build_wd(Spec(0.2, 3.0, 20.0, 0.02, 20), 0.01)
+        grid = make_grid(1e-3, 1e3, 300)
+        got = family_response(table, 20, grid.omegas)
+        assert got.shape == (20, len(table), 300)
+        assert np.array_equal(got, self.stacked(table, 20, grid))
+
+    def test_multiplier_validation(self, example_wd_table):
+        with pytest.raises(ValueError, match="multiplier"):
+            family_response(example_wd_table, 0, [1.0])
 
 
 class TestWdTableIO:

@@ -1,6 +1,7 @@
 """Tests for the end-to-end pipeline, summary documents, emit, and the CLI."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def result_env(example_spec, example_wd_table):
 class TestRunPipeline:
     def test_low_mode_selects_published_pair(self, result_low, example_wd_table):
         low = result_low.bounds
-        assert low.mode == "low_freq"
+        assert result_low.mode == "low"
         # lower: most heavily damped base member short of the last entry
         assert np.allclose(low.lower.num, [0.3923], rtol=5e-3)
         assert np.allclose(low.lower.den, [1.0, 1.149, 0.3923], rtol=5e-3)
@@ -54,7 +55,7 @@ class TestRunPipeline:
 
     def test_high_mode_selects_published_pair(self, result_high):
         high = result_high.bounds
-        assert high.mode == "high_freq"
+        assert result_high.mode == "high"
         assert np.allclose(high.lower.num, [0.1137], rtol=5e-3)
         assert np.allclose(high.lower.den, [1.0, 0.3486, 0.1137], rtol=5e-3)
         assert np.allclose(high.upper.num, [13.59], rtol=5e-3)
@@ -89,7 +90,7 @@ class TestRunPipeline:
 
     def test_envelope_mode_fits_both_bounds(self, result_env):
         env = result_env.bounds
-        assert env.mode == "envelope"
+        assert result_env.mode == "envelope"
         assert result_env.fit_reports is not None
         assert result_env.envelopes is not None
         assert result_env.envelope_data is not None
@@ -230,6 +231,33 @@ class TestCli:
         assert code == 2
         assert "numerical failure" in err
         assert "fit" in err
+
+    @pytest.mark.parametrize("args, stage", [
+        # the lower fit gets a far right-half-plane zero whose removal
+        # flips the sign of its DC gain
+        (BASE + ["--mode", "envelope", "--zeros", "1", "--poles", "2"], "cleanup"),
+        # fast poles over a long settling horizon: the lower bound alone
+        # needs about 5.3e8 simulation steps
+        (["--mp", "0.15", "--tr", "0.001", "--ts", "3000", "--dev", "0.03", "--wi", "5"],
+         "round_trip"),
+    ])
+    def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
+        start = time.perf_counter()
+        code = main(args)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"trackbounds: numerical failure: {stage}: ")
+        assert elapsed < 2.0
+
+    def test_gain_adjust_rescues_negative_dc_gain(self, capsys):
+        # rescaling to unit DC gain flips the sign the cleanup left behind
+        code = main(self.BASE + ["--mode", "envelope", "--zeros", "1", "--poles", "2",
+                                 "--gain-adjust"])
+        doc = parse_summary(capsys.readouterr().out)
+        assert code == 0
+        assert doc.final.lower.final_value == pytest.approx(1.0, rel=1e-6)
+        assert doc.final.upper.final_value == pytest.approx(1.0, rel=1e-6)
 
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

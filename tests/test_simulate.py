@@ -113,6 +113,11 @@ class TestStepResponse:
         with pytest.raises(NumericalError, match="strictly stable"):
             step_response(RationalTF([1.0], [1.0, 0.0, 1.0]), 10.0)
 
+    def test_step_budget_checked_before_allocation(self):
+        # about 6.7e9 steps of two states would need over 100 GB
+        with pytest.raises(NumericalError, match="budget"):
+            step_response(make_tf(MEMBER1), 1e9)
+
     def test_step_size_accuracy_contract(self):
         tf = make_tf(MEMBER1)
         with pytest.raises(NumericalError, match="accuracy contract"):
@@ -132,6 +137,11 @@ class TestSettledStepResponse:
         tf = make_tf(SecondOrderParams(10.0, 0.05))
         trace = settled_step_response(tf, 0.4, ToleranceBand(0.03))
         assert trace.times[-1] == pytest.approx(9.6, rel=1e-9)
+
+    def test_negative_final_value_raises_at_once(self):
+        tf = RationalTF([-1.0], [1.0, 1.0])
+        with pytest.raises(NumericalError, match="degenerate final value"):
+            settled_step_response(tf, 5.0, ToleranceBand(0.03))
 
     def test_never_settling_trace_raises(self):
         tf = make_tf(SecondOrderParams(1.0, 0.01))
