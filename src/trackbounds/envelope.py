@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .family import WdTable, family_response
 from .sos_core import make_tf, scale_omega
 from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF, roots
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _REL_TIE = 1e-12
+# largest frequency grid; every output row and fit equation is per point
+_MAX_GRID_POINTS = 10**5
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +74,8 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
         raise ValueError("maximum frequency must exceed the minimum")
     if points < 2:
         raise ValueError("grid needs at least two points")
+    if points > _MAX_GRID_POINTS:
+        raise NumericalError(f"{points} grid points are over the budget of {_MAX_GRID_POINTS}")
     return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
 
 

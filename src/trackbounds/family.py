@@ -14,6 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .errors import NumericalError
 from .sos_core import SecondOrderParams, make_tf, scale_omega, zeta_min
 from .tf_model import RationalTF
 from .timing import ToleranceBand, omega_n_for
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 _WD_HEADER = "zeta,omega_n"
+# largest damping sweep; its run time grows with the pairs, three crossings each
+_MAX_WD_PAIRS = 1000
+# largest family response, wi * pairs * points complex entries (64 MiB)
+_MAX_FAMILY_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,8 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     z_min = zeta_min(spec.mp)
     if not 0 < zeta_step < 1 - z_min:
         raise ValueError("zeta step must lie in (0, 1 - zeta_min)")
+    if (1 - z_min) / zeta_step > _MAX_WD_PAIRS:
+        raise NumericalError(f"zeta step {zeta_step!r} needs more than {_MAX_WD_PAIRS} pairs")
     band = ToleranceBand(spec.dev)
     pairs = []
     k = 0
@@ -122,6 +129,9 @@ def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:
     """
     if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
         raise ValueError("frequency multiplier count must be an integer >= 1")
+    entries = int(wi) * len(table) * len(omegas)
+    if entries > _MAX_FAMILY_ENTRIES:
+        raise NumericalError(f"{entries} family entries exceed the budget of {_MAX_FAMILY_ENTRIES}")
     wn = table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
     z = table.zetas()[None, :, None]
     s = 1j * np.asarray(omegas, dtype=float)

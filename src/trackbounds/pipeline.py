@@ -287,17 +287,17 @@ def parse_summary(text: str) -> SummaryDoc:
     )
 
 
-def _format_family_bode(result: PipelineResult) -> str:
+def _format_family_bode(result: PipelineResult):
+    """bode_family.csv as text chunks: the header, then one per member."""
     responses = family_response(result.wd, result.spec.wi, result.grid.omegas)
     omegas = [repr(w) for w in result.grid.omegas.tolist()]
-    lines = ["zeta,i,omega,mag,phase_deg"]
+    yield "zeta,i,omega,mag,phase_deg\n"
     for i, rows in enumerate(responses, start=1):
         mags = np.abs(rows).tolist()
         phases = np.degrees(np.unwrap(np.angle(rows))).tolist()
         for params, mag, phase in zip(result.wd.pairs, mags, phases):
             head = f"{float(params.zeta)!r},{i},"
-            lines += [f"{head}{w},{m!r},{p!r}" for w, m, p in zip(omegas, mag, phase)]
-    return "\n".join(lines) + "\n"
+            yield "".join([f"{head}{w},{m!r},{p!r}\n" for w, m, p in zip(omegas, mag, phase)])
 
 
 def emit(result: PipelineResult, out_dir) -> list:
@@ -305,10 +305,10 @@ def emit(result: PipelineResult, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    def write(name: str, content: str):
+    def write(name: str, content):
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(content)
+        with _stage("emit"), open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines([content] if isinstance(content, str) else content)
         written.append(path)
 
     write("summary.txt", format_summary(result))

@@ -2,9 +2,10 @@
 
 Crossings of the closed-form step response are solved by fifth-order Newton
 forward-difference inverse interpolation on six equally spaced samples, with
-the sampling refined until two successive grid halvings agree. A plain
-bisection takes over whenever the fixed-point iteration misbehaves, so the
-result is always a bracketed root.
+the sampling refined until two successive estimates agree. A grid level
+whose fixed-point iteration diverges, or whose estimate leaves the six-sample
+window, contributes no estimate and the next halving is tried, so every
+result is a converged Newton solution inside a window bracketing the root.
 """
 
 from __future__ import annotations
@@ -108,42 +109,27 @@ def newton_inverse_interp(times, values, target: float) -> float:
     raise NumericalError("inverse interpolation diverged")
 
 
-def _bisect(f, lo: float, hi: float, target: float) -> float:
-    g_lo = f(lo) - target
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = f(mid) - target
-        if g_mid == 0 or (hi - lo) < 1e-14 * max(1.0, abs(hi)):
-            return mid
-        if (g_mid < 0) == (g_lo < 0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _refined_crossing(f, lo: float, hi: float, target: float) -> float:
     """Crossing of target on [lo, hi] where f is monotone through it."""
     prev = None
-    n = 6
-    for _ in range(_REFINE_MAX_LEVELS):
+    for level in range(_REFINE_MAX_LEVELS):
+        n = 5 * 2**level + 1  # each level halves the sample spacing
         ts = np.linspace(lo, hi, n)
         fs = f(ts)
-        increasing = fs[-1] >= fs[0]
-        key = fs if increasing else -fs
-        j = int(np.searchsorted(key, target if increasing else -target))
-        j = min(max(j, 1), n - 1)
+        sign = 1.0 if fs[-1] >= fs[0] else -1.0
+        j = int(np.searchsorted(sign * fs, sign * target))
         w = min(max(j - 3, 0), n - 6)
+        # a level whose Newton solve fails, or lands outside the six samples
+        # around the crossing, records no estimate: the next level retries
         try:
             t_hat = newton_inverse_interp(ts[w:w + 6], fs[w:w + 6], target)
-            if not ts[w] <= t_hat <= ts[w + 5]:
-                raise NumericalError("estimate escaped the sample window")
         except (ValueError, NumericalError):
-            t_hat = _bisect(f, ts[j - 1], ts[j], target)
+            continue
+        if not ts[w] <= t_hat <= ts[w + 5]:
+            continue
         if prev is not None and abs(t_hat - prev) < _REFINE_TOL:
             return float(t_hat)
         prev = t_hat
-        n = 2 * n - 1
     raise NumericalError("crossing search did not converge")
 
 
@@ -173,16 +159,14 @@ def unit_settling_time(zeta: float, band: ToleranceBand) -> float:
     if not 0 < zeta < 1:
         raise ValueError("damping ratio must lie strictly inside (0, 1)")
     dev = band.dev
-    root = math.sqrt(1 - zeta * zeta)
-    wd = root
-    phi = math.acos(zeta)
+    wd = math.sqrt(1 - zeta * zeta)
 
     k = max(0, math.ceil(wd * math.log(1.0 / dev) / (zeta * math.pi)) - 1)
     while k > 0 and math.exp(-zeta * k * math.pi / wd) <= dev:
         k -= 1
 
     t_lo = k * math.pi / wd
-    t_hi = ((k + 1) * math.pi - phi) / wd
+    t_hi = ((k + 1) * math.pi - math.acos(zeta)) / wd
     target = 1.0 - dev if k % 2 == 0 else 1.0 + dev
     return _refined_crossing(_unit_step(zeta), t_lo, t_hi, target)
 

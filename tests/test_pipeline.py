@@ -240,6 +240,10 @@ class TestCli:
         # needs about 5.3e8 simulation steps
         (["--mp", "0.15", "--tr", "0.001", "--ts", "3000", "--dev", "0.03", "--wi", "5"],
          "round_trip"),
+        # work sized from user input is checked against a budget before it runs
+        (BASE + ["--points", "200000000"], "grid"),
+        (BASE + ["--zeta-step", "1e-7"], "wd_table"),
+        (BASE + ["--wi", "100000", "--mode", "envelope"], "envelope"),
     ])
     def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
         start = time.perf_counter()
@@ -249,6 +253,13 @@ class TestCli:
         assert code == 2
         assert err.startswith(f"trackbounds: numerical failure: {stage}: ")
         assert elapsed < 2.0
+
+    def test_oversized_family_output_fails_naming_emit(self, capsys, tmp_path):
+        # low mode evaluates the family at one frequency only; bode_family.csv
+        # needs all of it, wi * pairs * points = 5e6 entries
+        code = main(self.BASE + ["--points", "100000", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("trackbounds: numerical failure: emit: ")
 
     def test_gain_adjust_rescues_negative_dc_gain(self, capsys):
         # rescaling to unit DC gain flips the sign the cleanup left behind

@@ -129,6 +129,11 @@ class TestUnitRiseTime:
         assert abs(t - 3.200) < 5e-3
         assert abs(t - RISE_096687) < 2e-6
 
+    def test_random_damping_matches_oracle(self):
+        rng = np.random.default_rng(71)
+        for zeta in rng.uniform(0.05, 0.99, 40):
+            assert abs(unit_rise_time(zeta) - oracles.oracle_rise_time(zeta)) < 1e-7
+
     def test_monotone_in_damping(self):
         zs = np.linspace(0.2, 0.95, 12)
         rises = [unit_rise_time(z) for z in zs]
@@ -156,11 +161,23 @@ class TestUnitSettlingTime:
 
     def test_random_damping_matches_oracle(self):
         rng = np.random.default_rng(59)
-        for _ in range(12):
-            zeta = float(rng.uniform(0.15, 0.98))
-            mine = unit_settling_time(zeta, BAND)
-            ref = oracles.oracle_settling_time(zeta, 0.03)
-            assert abs(mine - ref) < 1e-5
+        cases = [(float(rng.uniform(0.15, 0.98)), 0.03) for _ in range(12)]
+        cases += [(float(rng.uniform(0.05, 0.99)), float(rng.choice([0.005, 0.01, 0.05, 0.2])))
+                  for _ in range(10)]
+        for zeta, dev in cases:
+            mine = unit_settling_time(zeta, ToleranceBand(dev))
+            ref = oracles.oracle_settling_time(zeta, dev)
+            assert abs(mine - ref) < 1e-7
+
+    @pytest.mark.parametrize("zeta", [1e-4, 1 - 1e-5])
+    def test_extreme_damping_converges(self, zeta):
+        # every crossing comes from a converged Newton estimate, also where
+        # the response barely decays or barely overshoots
+        assert np.isfinite(unit_rise_time(zeta))
+        wide = unit_settling_time(zeta, ToleranceBand(0.9))
+        narrow = unit_settling_time(zeta, ToleranceBand(0.001))
+        assert np.isfinite(wide) and np.isfinite(narrow)
+        assert narrow >= wide
 
     def test_tighter_band_settles_no_sooner(self):
         for zeta in (0.3, 0.52, 0.7, 0.9):
