@@ -14,7 +14,6 @@ from trackbounds import (
     Spec,
     build_wd,
     cleanup,
-    complex_envelope,
     envelope_of,
     family_response,
     fit,
@@ -31,18 +30,15 @@ print(f"family size: {spec.wi * len(table)} members over {len(grid)} grid points
 # ---------------------------------------------------------------------------
 # pointwise envelopes
 # ---------------------------------------------------------------------------
-lo_curve = envelope_of(members, grid, "lower")
-hi_curve = envelope_of(members, grid, "upper")
+lo_data = envelope_of(members, grid, "lower")
+hi_data = envelope_of(members, grid, "upper")
 k = np.searchsorted(grid.omegas, 1.0)
 print(f"at omega = {grid.omegas[k]:.3f} rad/s the envelope magnitudes are "
-      f"{lo_curve.magnitude[k]:.4f} (lower) and {hi_curve.magnitude[k]:.4f} (upper)")
+      f"{lo_data.magnitude()[k]:.4f} (lower) and {hi_data.magnitude()[k]:.4f} (upper)")
 
 # ---------------------------------------------------------------------------
 # rational recovery from the envelope samples
 # ---------------------------------------------------------------------------
-lo_data = complex_envelope(lo_curve)
-hi_data = complex_envelope(hi_curve)
-
 lo_fit = fit(FitProblem(lo_data, 0, 2))
 print("\nlower envelope, constant over quadratic:")
 print(f"  numerator   : {lo_fit.num}")

@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .envelope import (
     BoundPair,
-    EnvelopeCurve,
-    complex_envelope,
     envelope_of,
     format_envelope,
     make_grid,
@@ -94,9 +92,7 @@ __all__ = [
     "omega_n_for", "extract_metrics",
     "Spec", "WdTable", "build_wd", "family_tfs", "family_response",
     "format_wd_table", "parse_wd_table", "read_wd_table", "write_wd_table",
-    "EnvelopeCurve", "BoundPair",
-    "make_grid", "envelope_of", "select_restricted", "complex_envelope",
-    "format_envelope",
+    "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",
     "FitProblem", "FitReport", "fit", "cleanup", "gain_adjust", "report",
     "format_fit_report",
     "StepTrace", "FinalTD", "step_response", "settled_step_response", "final_td",

@@ -20,37 +20,16 @@ from .sos_core import make_tf, scale_omega
 from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF, roots
 
 __all__ = [
-    "EnvelopeCurve",
     "BoundPair",
     "make_grid",
     "envelope_of",
     "select_restricted",
-    "complex_envelope",
     "format_envelope",
 ]
 
 _REL_TIE = 1e-12
 # largest frequency grid; every output row and fit equation is per point
 _MAX_GRID_POINTS = 10**5
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeCurve:
-    """Magnitude and unwrapped phase (radians) over a grid."""
-
-    grid: FrequencyGrid
-    magnitude: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self):
-        mag = np.asarray(self.magnitude, dtype=float)
-        ph = np.asarray(self.phase, dtype=float)
-        if mag.shape != self.grid.omegas.shape or ph.shape != self.grid.omegas.shape:
-            raise ValueError("curve arrays must match the grid length")
-        if np.any(mag <= 0) or not np.all(np.isfinite(mag)) or not np.all(np.isfinite(ph)):
-            raise ValueError("magnitudes must be positive and finite, phases finite")
-        object.__setattr__(self, "magnitude", mag.copy())
-        object.__setattr__(self, "phase", ph.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +58,14 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
 
 
-def envelope_of(responses, grid: FrequencyGrid, side: str) -> EnvelopeCurve:
+def envelope_of(responses, grid: FrequencyGrid, side: str) -> FrequencyResponse:
     """Pointwise envelope of complex member responses.
 
     responses holds one response per member along its last axis, sampled
     on the grid, for instance the array family_response returns. side is
     "lower" or "upper"; magnitude and unwrapped phase extremes are taken
-    independently per frequency over all members.
+    independently per frequency over all members and recombined into
+    complex samples, the data a rational fit takes.
     """
     if side not in ("lower", "upper"):
         raise ValueError('side must be "lower" or "upper"')
@@ -98,7 +78,7 @@ def envelope_of(responses, grid: FrequencyGrid, side: str) -> EnvelopeCurve:
     pick = np.min if side == "lower" else np.max
     mag_env = pick(np.abs(resp), axis=0)
     phase_env = pick(np.unwrap(np.angle(resp), axis=-1), axis=0)
-    return EnvelopeCurve(grid, mag_env, phase_env)
+    return FrequencyResponse(grid, mag_env * np.exp(1j * phase_env))
 
 
 def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) -> BoundPair:
@@ -124,14 +104,9 @@ def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) ->
                      make_tf(scale_omega(table.pairs[upper], wi)))
 
 
-def complex_envelope(curve: EnvelopeCurve) -> FrequencyResponse:
-    """Recombine magnitude and phase into complex samples."""
-    return FrequencyResponse(curve.grid, curve.magnitude * np.exp(1j * curve.phase))
-
-
-def format_envelope(curve: EnvelopeCurve) -> str:
+def format_envelope(resp: FrequencyResponse) -> str:
     """CSV rendering with columns omega, mag, phase_deg."""
     lines = ["omega,mag,phase_deg"]
-    for w, m, p in zip(curve.grid.omegas, curve.magnitude, np.degrees(curve.phase)):
+    for w, m, p in zip(resp.grid.omegas, resp.magnitude(), np.degrees(resp.phase())):
         lines.append(f"{float(w)!r},{float(m)!r},{float(p)!r}")
     return "\n".join(lines) + "\n"

@@ -16,20 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .envelope import (
-    BoundPair,
-    EnvelopeCurve,
-    complex_envelope,
-    envelope_of,
-    format_envelope,
-    make_grid,
-    select_restricted,
-)
+from .envelope import BoundPair, envelope_of, format_envelope, make_grid, select_restricted
 from .errors import NumericalError
 from .family import Spec, WdTable, build_wd, family_response, format_wd_table
 from .ratfit import FitProblem, FitReport, cleanup, fit, format_fit_report, gain_adjust, report
 from .simulate import FinalTD, StepTrace, format_trace, round_trip
-from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
+from .tf_model import FrequencyGrid, dc_gain, freq_response
 from .timing import TimeDomainMetrics
 
 __all__ = [
@@ -57,8 +49,6 @@ class PipelineResult:
     final: FinalTD
     grid: FrequencyGrid
     fit_reports: tuple[FitReport, FitReport] | None = None
-    envelopes: tuple[EnvelopeCurve, EnvelopeCurve] | None = None
-    envelope_data: tuple[FrequencyResponse, FrequencyResponse] | None = None
     traces: tuple[StepTrace, StepTrace] | None = None
     artifacts: list = field(default_factory=list)
 
@@ -91,18 +81,14 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
         table = wd_table if wd_table is not None else build_wd(spec, zeta_step)
 
     fit_reports = None
-    envelopes = None
-    envelope_data = None
     if mode in ("low", "high"):
         with _stage("select"):
             bounds = select_restricted(table, spec.wi, grid, mode)
     else:
         with _stage("envelope"):
             responses = family_response(table, spec.wi, grid.omegas)
-            lo_curve = envelope_of(responses, grid, "lower")
-            hi_curve = envelope_of(responses, grid, "upper")
-            lo_data = complex_envelope(lo_curve)
-            hi_data = complex_envelope(hi_curve)
+            lo_data = envelope_of(responses, grid, "lower")
+            hi_data = envelope_of(responses, grid, "upper")
         fitted = []
         for side, data in (("lower", lo_data), ("upper", hi_data)):
             with _stage("fit"):
@@ -122,16 +108,13 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
         with _stage("fit"):
             bounds = BoundPair(fitted[0], fitted[1])
             fit_reports = (report(fitted[0], lo_data), report(fitted[1], hi_data))
-        envelopes = (lo_curve, hi_curve)
-        envelope_data = (lo_data, hi_data)
 
     with _stage("round_trip"):
         final, traces = round_trip(bounds, spec)
 
     return PipelineResult(
         spec=spec, mode=mode, wd=table, bounds=bounds, final=final, grid=grid,
-        fit_reports=fit_reports, envelopes=envelopes, envelope_data=envelope_data,
-        traces=traces,
+        fit_reports=fit_reports, traces=traces,
     )
 
 
@@ -314,20 +297,15 @@ def emit(result: PipelineResult, out_dir) -> list:
     write("summary.txt", format_summary(result))
     write("wd_table.csv", format_wd_table(result.wd))
     for side, tf in (("lower", result.bounds.lower), ("upper", result.bounds.upper)):
-        resp = freq_response(tf, result.grid)
-        curve = EnvelopeCurve(result.grid, resp.magnitude(), resp.phase())
-        write(f"bode_{side}.csv", format_envelope(curve))
+        write(f"bode_{side}.csv", format_envelope(freq_response(tf, result.grid)))
     write("bode_family.csv", _format_family_bode(result))
     if result.traces is not None:
         write("trace_lower.csv", format_trace(result.traces[0]))
         write("trace_upper.csv", format_trace(result.traces[1]))
-    if result.envelopes is not None:
-        write("envelope_lower.csv", format_envelope(result.envelopes[0]))
-        write("envelope_upper.csv", format_envelope(result.envelopes[1]))
-    if result.fit_reports is not None and result.envelope_data is not None:
-        write("fit_report_lower.csv",
-              format_fit_report(result.fit_reports[0], result.envelope_data[0]))
-        write("fit_report_upper.csv",
-              format_fit_report(result.fit_reports[1], result.envelope_data[1]))
+    if result.fit_reports is not None:
+        for side, rep in zip(("lower", "upper"), result.fit_reports):
+            write(f"envelope_{side}.csv", format_envelope(rep.data))
+        for side, rep in zip(("lower", "upper"), result.fit_reports):
+            write(f"fit_report_{side}.csv", format_fit_report(rep))
     result.artifacts = list(written)
     return list(written)

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# largest least-squares system, 2 * points * (m + n + 1) real entries (32 MiB)
+_MAX_FIT_ENTRIES = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +57,7 @@ class FitProblem:
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
-    """Per-frequency fit errors over the data grid.
+    """A fit's data, its response over the data grid, and their differences.
 
     mag_error is |mag(data) - mag(fit)|; phase_error_deg is signed,
     data minus fit, both phases unwrapped from the lowest frequency.
@@ -63,6 +65,8 @@ class FitReport:
     """
 
     fitted: RationalTF
+    data: FrequencyResponse
+    response: FrequencyResponse
     mag_error: np.ndarray
     phase_error_deg: np.ndarray
     max_mag_error: float
@@ -73,6 +77,9 @@ def fit(problem: FitProblem) -> RationalTF:
     """Solve the linearized fit by least squares."""
     data = problem.data
     n, m = problem.n, problem.m
+    entries = 2 * len(data) * (m + n + 1)
+    if entries > _MAX_FIT_ENTRIES:
+        raise NumericalError(f"{entries} least-squares entries exceed the budget of {_MAX_FIT_ENTRIES}")
     omegas = data.grid.omegas
     vals = data.values
     if np.any(vals == 0):
@@ -183,6 +190,8 @@ def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:
     worst = int(np.argmax(np.abs(phase_error_deg)))
     return FitReport(
         fitted=fitted,
+        data=data,
+        response=resp,
         mag_error=mag_error,
         phase_error_deg=phase_error_deg,
         max_mag_error=float(np.max(mag_error)),
@@ -190,15 +199,14 @@ def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:
     )
 
 
-def format_fit_report(rep: FitReport, data: FrequencyResponse) -> str:
+def format_fit_report(rep: FitReport) -> str:
     """CSV rendering: data, fit, and error columns per frequency."""
-    resp = freq_response(rep.fitted, data.grid)
-    mag_d = data.magnitude()
-    mag_f = resp.magnitude()
-    ph_d = np.degrees(data.phase())
-    ph_f = np.degrees(resp.phase())
+    mag_d = rep.data.magnitude()
+    mag_f = rep.response.magnitude()
+    ph_d = np.degrees(rep.data.phase())
+    ph_f = np.degrees(rep.response.phase())
     lines = ["omega,mag_data,mag_fit,mag_err,phase_data_deg,phase_fit_deg,phase_err_deg"]
-    for k, w in enumerate(data.grid.omegas):
+    for k, w in enumerate(rep.data.grid.omegas):
         lines.append(
             f"{float(w)!r},{float(mag_d[k])!r},{float(mag_f[k])!r},"
             f"{float(rep.mag_error[k])!r},{float(ph_d[k])!r},{float(ph_f[k])!r},"

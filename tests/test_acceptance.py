@@ -19,7 +19,6 @@ from trackbounds import (
     Spec,
     ToleranceBand,
     build_wd,
-    complex_envelope,
     envelope_of,
     extract_metrics,
     family_response,
@@ -107,8 +106,8 @@ class TestAcceptance:
         start = time.perf_counter()
         grid = make_grid(0.01, 100.0, 200)
         members = family_response(example_wd_table, SPEC.wi, grid.omegas)
-        lo_data = complex_envelope(envelope_of(members, grid, "lower"))
-        hi_data = complex_envelope(envelope_of(members, grid, "upper"))
+        lo_data = envelope_of(members, grid, "lower")
+        hi_data = envelope_of(members, grid, "upper")
 
         lo_fit = fit(FitProblem(lo_data, 0, 2))
         assert np.allclose(lo_fit.num, [0.1168], rtol=0.10)

@@ -66,7 +66,6 @@ class TestRunPipeline:
         assert result_low.wd is example_wd_table
         assert result_low.spec is example_spec
         assert result_low.fit_reports is None
-        assert result_low.envelopes is None
         assert result_low.traces is not None
         assert result_low.final.upper.mp == pytest.approx(0.15, abs=2e-3)
         assert result_low.final.lower.final_value == pytest.approx(1.0, abs=1e-3)
@@ -92,12 +91,14 @@ class TestRunPipeline:
         env = result_env.bounds
         assert result_env.mode == "envelope"
         assert result_env.fit_reports is not None
-        assert result_env.envelopes is not None
-        assert result_env.envelope_data is not None
         assert np.allclose(env.lower.den, [1.0, 0.3903, 0.1168], rtol=0.10)
         assert env.lower.num_degree == 0
-        # envelope curves bound every report's data grid point count
-        assert len(result_env.envelopes[0].grid) == len(result_env.grid)
+        # each report carries its envelope data and the bound's response on the grid
+        for rep, tf in zip(result_env.fit_reports, (env.lower, env.upper)):
+            assert rep.fitted is tf
+            assert rep.data.grid is result_env.grid
+            assert np.array_equal(rep.response.values,
+                                  freq_response(tf, result_env.grid).values)
         assert result_env.fit_reports[0].max_mag_error < 0.25
         assert result_env.fit_reports[1].max_mag_error < 0.35
 
@@ -180,6 +181,16 @@ class TestEmit:
         mag_err = [float(line.split(",")[3]) for line in lines[1:]]
         assert max(mag_err) == result_env.fit_reports[0].max_mag_error
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_envelope_rows_equal_fit_report_data_columns(self, result_env, tmp_path, side):
+        emit(result_env, tmp_path)
+        envelope = (tmp_path / f"envelope_{side}.csv").read_text().splitlines()
+        fit_rows = (tmp_path / f"fit_report_{side}.csv").read_text().splitlines()
+        assert len(envelope) == len(fit_rows) == 1 + len(result_env.grid)
+        for env_row, fit_row in zip(envelope[1:], fit_rows[1:]):
+            omega, mag_data, _, _, phase_data_deg, _, _ = fit_row.split(",")
+            assert env_row == f"{omega},{mag_data},{phase_data_deg}"
+
     def test_repeat_emits_are_byte_identical(self, result_low, tmp_path):
         first = emit(result_low, tmp_path / "a")
         second = emit(result_low, tmp_path / "b")
@@ -244,6 +255,7 @@ class TestCli:
         (BASE + ["--points", "200000000"], "grid"),
         (BASE + ["--zeta-step", "1e-7"], "wd_table"),
         (BASE + ["--wi", "100000", "--mode", "envelope"], "envelope"),
+        (BASE + ["--mode", "envelope", "--points", "20000", "--poles", "9000"], "fit"),
     ])
     def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
         start = time.perf_counter()

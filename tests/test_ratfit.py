@@ -10,7 +10,6 @@ from trackbounds import (
     NumericalError,
     RationalTF,
     cleanup,
-    complex_envelope,
     dc_gain,
     envelope_of,
     family_response,
@@ -29,8 +28,8 @@ from test_tf_model import random_stable_tf
 def family_envelopes(example_wd_table):
     grid = make_grid(0.01, 100.0, 200)
     members = family_response(example_wd_table, 5, grid.omegas)
-    lower = complex_envelope(envelope_of(members, grid, "lower"))
-    upper = complex_envelope(envelope_of(members, grid, "upper"))
+    lower = envelope_of(members, grid, "lower")
+    upper = envelope_of(members, grid, "upper")
     return lower, upper
 
 
@@ -270,7 +269,7 @@ class TestFormatFitReport:
         grid = make_grid(0.1, 10.0, 8)
         data = freq_response(RationalTF([1.1], [1.0, 1.0]), grid)
         rep = report(tf, data)
-        text = format_fit_report(rep, data)
+        text = format_fit_report(rep)
         lines = text.strip().splitlines()
         header = "omega,mag_data,mag_fit,mag_err,phase_data_deg,phase_fit_deg,phase_err_deg"
         assert lines[0] == header

@@ -15,6 +15,7 @@ from trackbounds import (
     omega_n_for,
     step_response,
     step_value,
+    timing,
     unit_rise_time,
     unit_settling_time,
 )
@@ -112,6 +113,22 @@ class TestNewtonInverseInterp:
         f = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         with pytest.raises(NumericalError, match="diverged"):
             newton_inverse_interp(t, f, 0.5)
+
+
+class TestRefinedCrossing:
+    def test_unsolved_crossing_stops_at_the_level_cap(self, monkeypatch):
+        def diverge(times, values, target):
+            raise NumericalError("inverse interpolation diverged")
+
+        monkeypatch.setattr(timing, "newton_inverse_interp", diverge)
+        largest = 5 * 2**19 + 1
+
+        def ramp(ts):
+            assert ts.size <= largest
+            return ts
+
+        with pytest.raises(NumericalError, match="did not converge"):
+            timing._refined_crossing(ramp, 0.0, 1.0, 0.5)
 
 
 class TestUnitRiseTime:
