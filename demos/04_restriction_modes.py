@@ -10,8 +10,8 @@ bounds closes the loop back to time-domain numbers.
 from trackbounds import (
     Spec,
     build_wd,
-    final_td,
     make_grid,
+    round_trip,
     select_restricted,
 )
 
@@ -33,7 +33,7 @@ for end in ("low", "high"):
     describe("upper", pair.upper)
 
     # round trip: simulate both bounds and read the metrics back
-    result = final_td(pair, spec)
+    result, _ = round_trip(pair, spec)
     for name, m in (("lower", result.lower), ("upper", result.upper)):
         print(f"  {name} round trip: Mp = {m.mp:.4f}, tr = {m.tr:.3f} s, "
               f"ts = {m.ts:.3f} s, final = {m.final_value:.4f}")

@@ -49,8 +49,8 @@ from .ratfit import (
 from .simulate import (
     FinalTD,
     StepTrace,
-    final_td,
     format_trace,
+    round_trip,
     settled_step_response,
     step_response,
 )
@@ -95,7 +95,7 @@ __all__ = [
     "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",
     "FitProblem", "FitReport", "fit", "cleanup", "gain_adjust", "report",
     "format_fit_report",
-    "StepTrace", "FinalTD", "step_response", "settled_step_response", "final_td",
+    "StepTrace", "FinalTD", "step_response", "settled_step_response", "round_trip",
     "format_trace",
     "PipelineResult", "SummaryDoc", "run_pipeline", "emit",
     "format_summary", "parse_summary", "summary_skeleton",

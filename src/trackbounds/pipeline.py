@@ -296,8 +296,12 @@ def emit(result: PipelineResult, out_dir) -> list:
 
     write("summary.txt", format_summary(result))
     write("wd_table.csv", format_wd_table(result.wd))
-    for side, tf in (("lower", result.bounds.lower), ("upper", result.bounds.upper)):
-        write(f"bode_{side}.csv", format_envelope(freq_response(tf, result.grid)))
+    if result.fit_reports is not None:
+        bode = [rep.response for rep in result.fit_reports]
+    else:
+        bode = [freq_response(tf, result.grid) for tf in (result.bounds.lower, result.bounds.upper)]
+    for side, resp in zip(("lower", "upper"), bode):
+        write(f"bode_{side}.csv", format_envelope(resp))
     write("bode_family.csv", _format_family_bode(result))
     if result.traces is not None:
         write("trace_lower.csv", format_trace(result.traces[0]))

@@ -90,13 +90,18 @@ def fit(problem: FitProblem) -> RationalTF:
 
     # one complex row per frequency: T'*(a_0 + ... + a_{m-1} s^{m-1})
     #                                - (b_0 + ... + b_n s^n) = -s^m * T'
-    cols = [vals * sn**i for i in range(m)]
-    cols += [-(sn**j) for j in range(n + 1)]
-    mat = np.column_stack(cols)
-    rhs = -(sn**m) * vals
+    # high powers of |sn| > 1 can overflow; that is checked below, since
+    # lstsq would report a non-finite system as a LinAlgError
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = [vals * sn**i for i in range(m)]
+        cols += [-(sn**j) for j in range(n + 1)]
+        mat = np.column_stack(cols)
+        rhs = -(sn**m) * vals
 
     a_mat = np.vstack([mat.real, mat.imag])
     y = np.concatenate([rhs.real, rhs.imag])
+    if not (np.all(np.isfinite(a_mat)) and np.all(np.isfinite(y))):
+        raise NumericalError("degenerate fit: the system overflows, reduce the requested orders")
     x, _, rank, sv = np.linalg.lstsq(a_mat, y, rcond=None)
     if rank < m + n + 1 or sv[-1] == 0 or sv[0] / sv[-1] > _COND_LIMIT:
         raise NumericalError("degenerate fit: reduce the requested orders")

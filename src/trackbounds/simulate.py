@@ -3,8 +3,19 @@
 The transfer function is realized in controllable canonical form and the
 unit-step forced response is integrated with the classical fixed-step
 fourth-order Runge-Kutta method. For a linear system driven by a constant
-input one RK4 step is an affine map, so the propagation matrix and forcing
-vector are formed once and iterated.
+input one RK4 step is an affine map x <- P x + f, so the propagation
+matrix P and forcing vector f are formed once and iterated.
+
+The iteration is applied in blocks of _BLOCK steps rather than one step at
+a time. Powers P^j and offsets S_j f (the state j steps after starting
+from zero) are built for j <= _BLOCK by the same recursion; only the block
+start states are stepped, by x <- P^B x + S_B f, and every output sample
+y[kB + j] = c P^j x_k + c S_j f + d comes from one matrix product. The
+Python loop then runs about steps/B times instead of once per step, and no
+per-step state history is held. B = 128 balances the two costs that
+remain: the precomputation grows with B and the block loop with steps/B.
+On traces of 10,001 to 16,000 steps, B = 32, 64, 256 and 512 each ran
+slower than 128 (64 only slightly).
 """
 
 from __future__ import annotations
@@ -26,14 +37,15 @@ __all__ = [
     "step_response",
     "settled_step_response",
     "round_trip",
-    "final_td",
     "format_trace",
 ]
 
 _MAX_EXTENSIONS = 16
-# largest state history, (steps + 1) * states, one trace may hold: 2**24
-# float64 values are 128 MiB, far above any trace the default settings need
+# largest trace work, (steps + 1) * states: 2**24 float64 values are
+# 128 MiB, far above any trace the default settings need
 _MAX_STATE_SAMPLES = 2**24
+# steps propagated per block; see the module docstring
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +131,23 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
         raise NumericalError(
             f"simulation needs {n_steps + 1} steps of {m} states, over the budget of "
             f"{_MAX_STATE_SAMPLES} samples: the time scales are too far apart")
-    states = np.empty((n_steps + 1, m))
-    x = np.zeros(m)
-    states[0] = x
-    for k in range(1, n_steps + 1):
-        x = prop @ x + force
-        states[k] = x
+    # affine map as one matrix on [x, 1]; powers[j] holds [[P^j, S_j f], [0, 1]]
+    step = np.eye(m + 1)
+    step[:m, :m] = prop
+    step[:m, m] = force
+    powers = np.empty((_BLOCK + 1, m + 1, m + 1))
+    powers[0] = np.eye(m + 1)
+    for j in range(_BLOCK):
+        powers[j + 1] = step @ powers[j]
+    # output row j of a block: y = out[j] @ [x_k, 1]
+    out = np.append(c, direct) @ powers[:_BLOCK]
+    n_blocks = -(-(n_steps + 1) // _BLOCK)
+    starts = np.empty((n_blocks, m + 1))
+    starts[0] = powers[0, m]  # the zero state, [0, 1]
+    for k in range(1, n_blocks):
+        starts[k] = powers[_BLOCK] @ starts[k - 1]
     times = np.arange(n_steps + 1) * h
-    values = states @ c + direct
+    values = (starts @ out.T).ravel()[:n_steps + 1]
     return StepTrace(times, values, h)
 
 
@@ -148,11 +169,6 @@ def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace,
                    for tf in (bounds.lower, bounds.upper))
     lower, upper = (extract_metrics(tr.times, tr.values, band) for tr in traces)
     return FinalTD(lower=lower, upper=upper), traces
-
-
-def final_td(bounds: BoundPair, spec: Spec) -> FinalTD:
-    """Round-trip verification: simulate both bounds and measure them."""
-    return round_trip(bounds, spec)[0]
 
 
 def format_trace(trace: StepTrace) -> str:

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own solvers: the step
 response is re-derived from the closed form with math-module scalars, and
 crossings are located by plain bisection (plus a dense linear scan for the
-settling search), so agreement with the package is meaningful.
+settling search), so agreement with the package is meaningful. The RK4
+reference steps the simulator's affine map one step at a time, the plain
+loop the package's block propagation must reproduce; the modal step
+response is exact.
 """
 
 import math
@@ -85,3 +88,37 @@ def newton_on_step(zeta, target):
         except NumericalError:
             h /= 2.0
     raise AssertionError("Newton solver kept diverging as the window shrank")
+
+
+def loop_step_response(tf, step_size, n_steps):
+    """RK4 step response stepped one sample at a time, x <- P x + f."""
+    from trackbounds.simulate import _canonical
+
+    a, b, c, direct = _canonical(tf)
+    m = a.shape[0]
+    ha = step_size * a
+    prop = np.eye(m) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
+    force = (step_size * (np.eye(m) + ha / 2 + ha @ ha / 6 + ha @ ha @ ha / 24)) @ b
+    states = np.empty((n_steps + 1, m))
+    x = np.zeros(m)
+    states[0] = x
+    for k in range(1, n_steps + 1):
+        x = prop @ x + force
+        states[k] = x
+    return states @ c + direct
+
+
+def oracle_modal_step(tf, t):
+    """Exact step response of a function with simple poles, by partial fractions.
+
+    y(t) = D + sum_i r_i / p_i (exp(p_i t) - 1) with r_i = N(p_i) / D'(p_i)
+    and D the direct feedthrough (zero unless the function is biproper).
+    """
+    num = np.asarray(tf.num, dtype=float)
+    den = np.asarray(tf.den, dtype=float)
+    poles = np.roots(den)
+    residues = np.polyval(num, poles) / np.polyval(np.polyder(den), poles)
+    direct = num[0] / den[0] if num.size == den.size else 0.0
+    t = np.asarray(t, dtype=float)
+    modes = (residues / poles)[:, None] * np.expm1(np.outer(poles, t))
+    return direct + np.real(np.sum(modes, axis=0))

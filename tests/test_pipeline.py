@@ -191,6 +191,16 @@ class TestEmit:
             omega, mag_data, _, _, phase_data_deg, _, _ = fit_row.split(",")
             assert env_row == f"{omega},{mag_data},{phase_data_deg}"
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_bode_rows_equal_fit_report_fit_columns(self, result_env, tmp_path, side):
+        emit(result_env, tmp_path)
+        bode = (tmp_path / f"bode_{side}.csv").read_text().splitlines()
+        fit_rows = (tmp_path / f"fit_report_{side}.csv").read_text().splitlines()
+        assert len(bode) == len(fit_rows) == 1 + len(result_env.grid)
+        for bode_row, fit_row in zip(bode[1:], fit_rows[1:]):
+            omega, _, mag_fit, _, _, phase_fit_deg, _ = fit_row.split(",")
+            assert bode_row == f"{omega},{mag_fit},{phase_fit_deg}"
+
     def test_repeat_emits_are_byte_identical(self, result_low, tmp_path):
         first = emit(result_low, tmp_path / "a")
         second = emit(result_low, tmp_path / "b")
@@ -256,6 +266,8 @@ class TestCli:
         (BASE + ["--zeta-step", "1e-7"], "wd_table"),
         (BASE + ["--wi", "100000", "--mode", "envelope"], "envelope"),
         (BASE + ["--mode", "envelope", "--points", "20000", "--poles", "9000"], "fit"),
+        # within the budget, but |s|**200 overflows on the default grid
+        (BASE + ["--mode", "envelope", "--points", "401", "--poles", "200"], "fit"),
     ])
     def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
         start = time.perf_counter()

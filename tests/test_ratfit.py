@@ -1,5 +1,7 @@
 """Tests for rational fitting, root cleanup, gain adjustment, and reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,15 @@ class TestFit:
         data = FrequencyResponse(grid, vals)
         with pytest.raises(NumericalError, match="degenerate fit"):
             fit(FitProblem(data, 2, 3))
+
+    def test_overflowing_orders_raise_degenerate_fit(self):
+        # |s| reaches 100 on this grid, so s**200 overflows to inf
+        grid = make_grid(0.01, 100.0, 401)
+        data = freq_response(RationalTF([1.0], [1.0, 1.0, 1.0]), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="degenerate fit"):
+                fit(FitProblem(data, 0, 200))
 
     def test_zero_data_sample_rejected(self):
         grid = make_grid(0.1, 10.0, 20)

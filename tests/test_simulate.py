@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-
+from oracles import loop_step_response, oracle_modal_step
+from test_tf_model import random_stable_tf
 from trackbounds import (
     FinalTD,
     NumericalError,
@@ -10,11 +11,12 @@ from trackbounds import (
     SecondOrderParams,
     StepTrace,
     ToleranceBand,
-    final_td,
     format_trace,
     make_grid,
     make_tf,
     overshoot,
+    round_trip,
+    run_pipeline,
     select_restricted,
     settled_step_response,
     step_response,
@@ -126,6 +128,71 @@ class TestStepResponse:
             step_response(tf, 30.0, step_size=0.0)
 
 
+def _worked_example_fitted_traces(example_wd_table, example_spec):
+    result = run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table)
+    return (result.bounds.lower, result.bounds.upper), result.traces
+
+
+class TestBlockPropagation:
+    """Block propagation reproduces the one-step-at-a-time RK4 loop."""
+
+    @staticmethod
+    def assert_matches_loop(tf, trace):
+        loop = loop_step_response(tf, trace.step_size, trace.values.size - 1)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(loop))))
+        assert np.max(np.abs(trace.values - loop)) <= tol
+
+    @pytest.mark.parametrize("t_end, step, samples", [
+        (30.0, 0.29, 104), (31.75, 0.25, 128), (64.0, 0.25, 257)])
+    def test_lengths_around_the_block_size(self, t_end, step, samples):
+        tf = make_tf(MEMBER1)
+        trace = step_response(tf, t_end, step_size=step)
+        assert trace.values.size == samples
+        self.assert_matches_loop(tf, trace)
+
+    @pytest.mark.parametrize("tf", [
+        RationalTF([1.0, 2.0], [1.0, 1.0]),
+        RationalTF([2.0, 1.0], [1.0, 2.0, 3.0, 1.0]),
+    ], ids=["biproper", "third_order_with_zero"])
+    def test_orders_and_feedthrough(self, tf):
+        self.assert_matches_loop(tf, step_response(tf, 40.0))
+
+    def test_trace_at_the_step_cap(self):
+        tf = make_tf(SecondOrderParams(10.0, 0.5))
+        trace = step_response(tf, 60.0)
+        assert trace.step_size == pytest.approx(0.05 / 10.0, rel=1e-12)
+        self.assert_matches_loop(tf, trace)
+
+    def test_seeded_functions(self):
+        rng = np.random.default_rng(211)
+        for _ in range(10):
+            tf = random_stable_tf(rng, max_zeros=4)
+            self.assert_matches_loop(tf, step_response(tf, rng.uniform(1.0, 60.0)))
+
+    def test_worked_example_fitted_bounds(self, example_wd_table, example_spec):
+        tfs, traces = _worked_example_fitted_traces(example_wd_table, example_spec)
+        for tf, trace in zip(tfs, traces):
+            self.assert_matches_loop(tf, trace)
+
+
+class TestModalStepResponse:
+    """Simulated traces against the exact partial-fraction step response."""
+
+    def test_worked_example_fitted_bounds(self, example_wd_table, example_spec):
+        tfs, traces = _worked_example_fitted_traces(example_wd_table, example_spec)
+        for tf, trace in zip(tfs, traces):
+            exact = oracle_modal_step(tf, trace.times)
+            assert np.max(np.abs(trace.values - exact)) <= 1e-6
+
+    def test_seeded_simple_pole_functions(self):
+        rng = np.random.default_rng(223)
+        for _ in range(10):
+            tf = random_stable_tf(rng, max_zeros=4)
+            trace = step_response(tf, rng.uniform(5.0, 60.0))
+            exact = oracle_modal_step(tf, trace.times)
+            assert np.max(np.abs(trace.values - exact)) <= 1e-6
+
+
 class TestSettledStepResponse:
     def test_settled_immediately_for_fast_system(self):
         trace = settled_step_response(make_tf(MEMBER1), 30.0, ToleranceBand(0.03))
@@ -153,7 +220,7 @@ class TestFinalTD:
     def test_low_frequency_bounds_round_trip(self, example_wd_table, example_spec):
         grid = make_grid(0.01, 100.0, 200)
         bounds = select_restricted(example_wd_table, example_spec.wi, grid, "low")
-        result = final_td(bounds, example_spec)
+        result, _ = round_trip(bounds, example_spec)
         assert isinstance(result, FinalTD)
         # the upper bound is the least-damped member of the wi-th harmonic
         # family: full overshoot, timings wi times faster than the base spec
