@@ -9,7 +9,15 @@ families whose frequency responses will be bounded.
 
 import numpy as np
 
-from trackbounds import Spec, build_wd, family_tfs, format_wd_table, freq_response, make_grid
+from trackbounds import (
+    Spec,
+    build_wd,
+    format_wd_table,
+    freq_response,
+    make_grid,
+    make_tf,
+    scale_omega,
+)
 
 spec = Spec(mp=0.15, tr=5.0, ts=30.0, dev=0.03, wi=5)
 print(f"specification: Mp <= {spec.mp}, tr <= {spec.tr} s, ts <= {spec.ts} s, "
@@ -36,7 +44,7 @@ grid = make_grid(0.01, 100.0, 5)
 print("\n|T(j omega)| for the least-damped member at each harmonic:")
 print("omega:      " + "  ".join(f"{w:8.3f}" for w in grid.omegas))
 for i in (1, 2, 5):
-    member = family_tfs(table, i)[0]
+    member = make_tf(scale_omega(table.pairs[0], i))
     mags = freq_response(member, grid).magnitude()
     print(f"i = {i}:      " + "  ".join(f"{m:8.4f}" for m in mags))
 

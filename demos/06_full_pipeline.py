@@ -16,8 +16,8 @@ spec = Spec(mp=0.15, tr=5.0, ts=30.0, dev=0.03, wi=5)
 result = run_pipeline(spec, mode="envelope")
 print(format_summary(result), end="")
 
-out_dir = tempfile.mkdtemp(prefix="trackbounds_demo_")
-written = emit(result, out_dir)
-print(f"\nartifacts written to {out_dir}:")
-for path in written:
-    print(f"  {path}")
+with tempfile.TemporaryDirectory(prefix="trackbounds_demo_") as out_dir:
+    written = emit(result, out_dir)
+    print(f"\nartifacts written to {out_dir} (removed on exit):")
+    for path in written:
+        print(f"  {path}")

@@ -22,11 +22,9 @@ from .family import (
     WdTable,
     build_wd,
     family_response,
-    family_tfs,
     format_wd_table,
     parse_wd_table,
     read_wd_table,
-    write_wd_table,
 )
 from .pipeline import (
     PipelineResult,
@@ -90,8 +88,8 @@ __all__ = [
     "ToleranceBand", "TimeDomainMetrics",
     "newton_inverse_interp", "unit_rise_time", "unit_settling_time",
     "omega_n_for", "extract_metrics",
-    "Spec", "WdTable", "build_wd", "family_tfs", "family_response",
-    "format_wd_table", "parse_wd_table", "read_wd_table", "write_wd_table",
+    "Spec", "WdTable", "build_wd", "family_response",
+    "format_wd_table", "parse_wd_table", "read_wd_table",
     "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",
     "FitProblem", "FitReport", "fit", "cleanup", "gain_adjust", "report",
     "format_fit_report",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O
 failure. The summary document goes to stdout; --out additionally writes
-the tabular artifacts into a directory.
+the tabular outputs into a directory.
 """
 
 from __future__ import annotations
@@ -86,7 +86,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"trackbounds: i/o failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,19 +15,16 @@ from numbers import Integral
 import numpy as np
 
 from .errors import NumericalError
-from .sos_core import SecondOrderParams, make_tf, scale_omega, zeta_min
-from .tf_model import RationalTF
+from .sos_core import SecondOrderParams, zeta_min
 from .timing import ToleranceBand, omega_n_for
 
 __all__ = [
     "Spec",
     "WdTable",
     "build_wd",
-    "family_tfs",
     "family_response",
     "format_wd_table",
     "parse_wd_table",
-    "write_wd_table",
     "read_wd_table",
 ]
 
@@ -115,17 +112,12 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     return WdTable(tuple(pairs))
 
 
-def family_tfs(table: WdTable, i: int) -> list[RationalTF]:
-    """Transfer functions of every pair, natural frequencies scaled by i."""
-    return [make_tf(scale_omega(p, i)) for p in table.pairs]
-
-
 def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:
     """Complex responses H[i-1, k, j] of pair k scaled by i = 1..wi at omegas[j].
 
     Evaluates wn^2 / (s^2 + 2*zeta*wn*s + wn^2) at s = j*omega by
     broadcasting, in the operation order of eval_poly's Horner rule, so
-    every entry equals freq_response of the matching family_tfs member.
+    every entry equals freq_response of make_tf(scale_omega(pair, i)).
     """
     if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
         raise ValueError("frequency multiplier count must be an integer >= 1")
@@ -164,11 +156,6 @@ def parse_wd_table(text: str) -> WdTable:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return WdTable(tuple(pairs))
-
-
-def write_wd_table(table: WdTable, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_wd_table(table))
 
 
 def read_wd_table(path) -> WdTable:

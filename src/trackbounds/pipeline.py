@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ MODES = ("low", "high", "envelope")
 
 @dataclass
 class PipelineResult:
-    """Everything one run produces, plus the paths emit() wrote."""
+    """Everything one run produces."""
 
     spec: Spec
     mode: str
@@ -48,9 +48,8 @@ class PipelineResult:
     bounds: BoundPair
     final: FinalTD
     grid: FrequencyGrid
+    traces: tuple[StepTrace, StepTrace]
     fit_reports: tuple[FitReport, FitReport] | None = None
-    traces: tuple[StepTrace, StepTrace] | None = None
-    artifacts: list = field(default_factory=list)
 
 
 @contextmanager
@@ -103,7 +102,7 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
                         raise NumericalError(f"{side} bound has non-positive DC gain {gain!r}")
             if adjust_gain:
                 with _stage("gain_adjust"):
-                    tf = gain_adjust(tf, 1.0)
+                    tf = gain_adjust(tf)
             fitted.append(tf)
         with _stage("fit"):
             bounds = BoundPair(fitted[0], fitted[1])
@@ -303,13 +302,11 @@ def emit(result: PipelineResult, out_dir) -> list:
     for side, resp in zip(("lower", "upper"), bode):
         write(f"bode_{side}.csv", format_envelope(resp))
     write("bode_family.csv", _format_family_bode(result))
-    if result.traces is not None:
-        write("trace_lower.csv", format_trace(result.traces[0]))
-        write("trace_upper.csv", format_trace(result.traces[1]))
+    write("trace_lower.csv", format_trace(result.traces[0]))
+    write("trace_upper.csv", format_trace(result.traces[1]))
     if result.fit_reports is not None:
         for side, rep in zip(("lower", "upper"), result.fit_reports):
             write(f"envelope_{side}.csv", format_envelope(rep.data))
         for side, rep in zip(("lower", "upper"), result.fit_reports):
             write(f"fit_report_{side}.csv", format_fit_report(rep))
-    result.artifacts = list(written)
-    return list(written)
+    return written

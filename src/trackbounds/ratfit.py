@@ -177,14 +177,12 @@ def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = No
     return RationalTF(num_new * factor, den_new)
 
 
-def gain_adjust(tf: RationalTF, target_dc: float) -> RationalTF:
-    """Scale the numerator so the DC gain equals target_dc."""
-    if not (math.isfinite(target_dc) and target_dc != 0):
-        raise ValueError("target DC gain must be finite and non-zero")
+def gain_adjust(tf: RationalTF) -> RationalTF:
+    """Scale the numerator so the DC gain is 1."""
     g = dc_gain(tf)
     if g == 0:
         raise ValueError("zero DC gain cannot be rescaled")
-    return RationalTF(tf.num * (target_dc / g), tf.den)
+    return RationalTF(tf.num * (1.0 / g), tf.den)
 
 
 def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:

@@ -41,9 +41,10 @@ __all__ = [
 ]
 
 _MAX_EXTENSIONS = 16
-# largest trace work, (steps + 1) * states: 2**24 float64 values are
-# 128 MiB, far above any trace the default settings need
-_MAX_STATE_SAMPLES = 2**24
+# largest trace work in float64 values: the steps + 1 output samples plus the
+# _BLOCK + 1 powers of the (states + 1)-square step matrix; 2**23 values are
+# 64 MiB, far above any trace the default settings need
+_MAX_TRACE_VALUES = 2**23
 # steps propagated per block; see the module docstring
 _BLOCK = 128
 
@@ -127,10 +128,12 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     force = (h * (np.eye(m) + ha / 2 + ha @ ha / 6 + ha @ ha @ ha / 24)) @ b
 
     n_steps = int(math.floor(t_end / h + 1e-9))
-    if (n_steps + 1) * m > _MAX_STATE_SAMPLES:
+    n_values = (n_steps + 1) + (_BLOCK + 1) * (m + 1) ** 2
+    if n_values > _MAX_TRACE_VALUES:
         raise NumericalError(
-            f"simulation needs {n_steps + 1} steps of {m} states, over the budget of "
-            f"{_MAX_STATE_SAMPLES} samples: the time scales are too far apart")
+            f"simulation needs {n_steps + 1} steps of {m} states, {n_values} values over "
+            f"the budget of {_MAX_TRACE_VALUES}: the time scales are too far apart "
+            f"or the order is too high")
     # affine map as one matrix on [x, 1]; powers[j] holds [[P^j, S_j f], [0, 1]]
     step = np.eye(m + 1)
     step[:m, :m] = prop

@@ -112,17 +112,11 @@ class FrequencyResponse:
 def eval_poly(coeffs, s):
     """Evaluate a real-coefficient polynomial at complex s by Horner's rule.
 
-    Accepts a scalar or an ndarray of evaluation points; one multiply-add
-    per coefficient per point.
+    Accepts a scalar or an ndarray of evaluation points; a scalar gives a
+    Python complex, whose arithmetic callers such as cleanup rely on.
     """
-    c = _as_coeffs(coeffs, "coeffs")
-    s_arr = np.asarray(s, dtype=complex)
-    acc = np.full(s_arr.shape, c[0], dtype=complex)
-    for ck in c[1:]:
-        acc = acc * s_arr + ck
-    if s_arr.ndim == 0:
-        return complex(acc)
-    return acc
+    vals = np.polyval(_as_coeffs(coeffs, "coeffs"), np.asarray(s, dtype=complex))
+    return complex(vals) if np.ndim(vals) == 0 else vals
 
 
 def freq_response(tf: RationalTF, grid: FrequencyGrid) -> FrequencyResponse:

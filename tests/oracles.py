@@ -6,7 +6,8 @@ crossings are located by plain bisection (plus a dense linear scan for the
 settling search), so agreement with the package is meaningful. The RK4
 reference steps the simulator's affine map one step at a time, the plain
 loop the package's block propagation must reproduce; the modal step
-response is exact.
+response is exact. The family members are built one transfer function at
+a time, the form the package's broadcast family response must reproduce.
 """
 
 import math
@@ -122,3 +123,10 @@ def oracle_modal_step(tf, t):
     t = np.asarray(t, dtype=float)
     modes = (residues / poles)[:, None] * np.expm1(np.outer(poles, t))
     return direct + np.real(np.sum(modes, axis=0))
+
+
+def family_tfs(table, i):
+    """Transfer functions of every pair, natural frequencies scaled by i."""
+    from trackbounds import make_tf, scale_omega
+
+    return [make_tf(scale_omega(p, i)) for p in table.pairs]

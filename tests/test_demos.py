@@ -17,8 +17,9 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    # demo 06 writes its outputs into a fresh temporary directory
+    # demo 06 writes its outputs into a temporary directory it must remove
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("trackbounds_demo_*")) == []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-
+from oracles import family_tfs
 from trackbounds import (
     BoundPair,
     FrequencyResponse,
@@ -13,7 +13,6 @@ from trackbounds import (
     build_wd,
     envelope_of,
     family_response,
-    family_tfs,
     format_envelope,
     freq_response,
     make_grid,

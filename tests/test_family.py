@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import family_tfs
 from trackbounds import (
     SecondOrderParams,
     Spec,
     WdTable,
     build_wd,
     family_response,
-    family_tfs,
     format_wd_table,
     freq_response,
     make_grid,
@@ -19,7 +19,6 @@ from trackbounds import (
     parse_wd_table,
     read_wd_table,
     scale_omega,
-    write_wd_table,
     zeta_min,
 )
 
@@ -187,7 +186,7 @@ class TestFamilyResponse:
 class TestWdTableIO:
     def test_round_trip_exact(self, example_wd_table, tmp_path):
         path = tmp_path / "table.csv"
-        write_wd_table(example_wd_table, path)
+        path.write_text(format_wd_table(example_wd_table), encoding="ascii")
         back = read_wd_table(path)
         assert np.array_equal(back.zetas(), example_wd_table.zetas())
         assert np.array_equal(back.omega_ns(), example_wd_table.omega_ns())

@@ -209,24 +209,24 @@ class TestCleanup:
 class TestGainAdjust:
     def test_scales_to_target(self):
         tf = RationalTF([0.2], [1.0, 1.0])
-        adjusted = gain_adjust(tf, 1.0)
+        adjusted = gain_adjust(tf)
         assert np.allclose(adjusted.num, [1.0], rtol=1e-12)
         assert dc_gain(adjusted) == pytest.approx(1.0, rel=1e-12)
 
     def test_identity_when_already_matching(self):
         tf = RationalTF([3.0], [1.0, 2.0, 3.0])
-        adjusted = gain_adjust(tf, dc_gain(tf))
+        adjusted = gain_adjust(tf)
         assert np.allclose(adjusted.num, tf.num, rtol=1e-12)
 
     def test_pole_at_origin_rejected(self):
         tf = RationalTF([1.0], [1.0, 0.0])
         with pytest.raises(ValueError, match="origin"):
-            gain_adjust(tf, 1.0)
+            gain_adjust(tf)
 
-    def test_zero_target_rejected(self):
-        tf = RationalTF([1.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            gain_adjust(tf, 0.0)
+    def test_zero_dc_gain_rejected(self):
+        tf = RationalTF([1.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="zero DC gain"):
+            gain_adjust(tf)
 
 
 class TestReport:

@@ -19,6 +19,7 @@ from trackbounds import (
     run_pipeline,
     select_restricted,
     settled_step_response,
+    simulate,
     step_response,
     step_value,
     unit_rise_time,
@@ -119,6 +120,25 @@ class TestStepResponse:
         # about 6.7e9 steps of two states would need over 100 GB
         with pytest.raises(NumericalError, match="budget"):
             step_response(make_tf(MEMBER1), 1e9)
+
+    def test_high_order_long_trace_within_budget(self):
+        # 1.5e6 steps of 12 states: the budget counts the samples and the block
+        # powers, not a per-step state history
+        den = np.poly(-0.5 * 1.3 ** np.arange(12))
+        tf = RationalTF([den[-1]], den)
+        trace = step_response(tf, 15000.0, step_size=0.01)
+        assert trace.values.size == 1_500_001
+        assert trace.values[-1] == pytest.approx(1.0, abs=1e-12)
+        exact = oracle_modal_step(tf, trace.times[:3000])
+        assert np.max(np.abs(trace.values[:3000] - exact)) <= 1e-6
+
+    def test_block_powers_count_against_the_budget(self, monkeypatch):
+        # 101 samples fit easily; the 129 powers of the 13-square step matrix do not
+        monkeypatch.setattr(simulate, "_MAX_TRACE_VALUES", 20000)
+        den = np.poly(-0.5 * 1.3 ** np.arange(12))
+        with pytest.raises(NumericalError, match="budget"):
+            step_response(RationalTF([den[-1]], den), 1.0, step_size=0.01)
+        step_response(make_tf(MEMBER1), 1.0, step_size=0.01)
 
     def test_step_size_accuracy_contract(self):
         tf = make_tf(MEMBER1)

@@ -49,6 +49,10 @@ class TestEvalPoly:
     def test_known_root(self):
         assert eval_poly(np.array([1.0, 2.0, 1.0]), -1.0) == 0.0
 
+    def test_scalar_argument_gives_python_complex(self):
+        # cleanup divides these values; numpy's complex division rounds differently
+        assert type(eval_poly(np.array([1.0, 0.3486, 0.1137]), 0.5j)) is complex
+
     def test_array_argument_shape(self):
         s = 1j * np.linspace(0.1, 1.0, 7)
         vals = eval_poly(np.array([1.0, 1.0]), s)
