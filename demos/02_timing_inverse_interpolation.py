@@ -2,9 +2,9 @@
 
 Rise time asks "when does the response first cross 90% of its final
 value" -- an inverse problem. Instead of scanning a dense trace, six
-equally spaced samples around the crossing feed a fifth-order Newton
-forward-difference inverse interpolation that iterates directly on the
-crossing time.
+equally spaced samples around the crossing define a fifth-order Newton
+forward-difference polynomial, which Newton-Raphson inverts from the
+secant estimate to give the crossing time.
 """
 
 import numpy as np

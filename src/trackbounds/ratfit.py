@@ -164,10 +164,10 @@ def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = No
     den_new = tf.den[0] * np.real(np.poly(kept_den)) if kept_den else tf.den[:1].copy()
 
     s_ref = 1j * (0.0 if ref_omega is None else ref_omega)
-    old_num_v = eval_poly(tf.num, s_ref)
-    old_den_v = eval_poly(tf.den, s_ref)
-    new_num_v = eval_poly(num_new, s_ref)
-    new_den_v = eval_poly(den_new, s_ref)
+    # Python complex whatever eval_poly returns: numpy's complex division
+    # rounds differently in the last digit, which would move the gain factor
+    old_num_v, old_den_v, new_num_v, new_den_v = (
+        complex(eval_poly(p, s_ref)) for p in (tf.num, tf.den, num_new, den_new))
     if 0 in (old_num_v, old_den_v, new_num_v, new_den_v):
         raise ValueError(
             "gain preservation needs a reference frequency where the function "

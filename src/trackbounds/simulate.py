@@ -42,8 +42,9 @@ __all__ = [
 
 _MAX_EXTENSIONS = 16
 # largest trace work in float64 values: the steps + 1 output samples plus the
-# _BLOCK + 1 powers of the (states + 1)-square step matrix; 2**23 values are
-# 64 MiB, far above any trace the default settings need
+# _BLOCK + 1 powers of the (states + 1)-square step matrix. A trace holds its
+# times and its values, so at 2**23 values it peaks at about 128 MiB, far
+# above any trace the default settings need
 _MAX_TRACE_VALUES = 2**23
 # steps propagated per block; see the module docstring
 _BLOCK = 128
@@ -51,7 +52,11 @@ _BLOCK = 128
 
 @dataclass(frozen=True, eq=False)
 class StepTrace:
-    """Uniformly sampled step response, starting at t = 0."""
+    """Uniformly sampled step response, starting at t = 0.
+
+    Both arrays are held read-only. A writeable array is copied first, so
+    the caller cannot change the trace; a read-only one is held as it is.
+    """
 
     times: np.ndarray
     values: np.ndarray
@@ -64,8 +69,15 @@ class StepTrace:
             raise ValueError("trace must hold two matching 1-D arrays")
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
-        object.__setattr__(self, "times", t.copy())
-        object.__setattr__(self, "values", y.copy())
+        object.__setattr__(self, "times", _read_only(t))
+        object.__setattr__(self, "values", _read_only(y))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -149,8 +161,11 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     starts[0] = powers[0, m]  # the zero state, [0, 1]
     for k in range(1, n_blocks):
         starts[k] = powers[_BLOCK] @ starts[k - 1]
-    times = np.arange(n_steps + 1) * h
+    # fresh arrays, marked read-only so that StepTrace holds them uncopied
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= h
     values = (starts @ out.T).ravel()[:n_steps + 1]
+    times.flags.writeable = values.flags.writeable = False
     return StepTrace(times, values, h)
 
 

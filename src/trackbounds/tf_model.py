@@ -113,7 +113,7 @@ def eval_poly(coeffs, s):
     """Evaluate a real-coefficient polynomial at complex s by Horner's rule.
 
     Accepts a scalar or an ndarray of evaluation points; a scalar gives a
-    Python complex, whose arithmetic callers such as cleanup rely on.
+    Python complex.
     """
     vals = np.polyval(_as_coeffs(coeffs, "coeffs"), np.asarray(s, dtype=complex))
     return complex(vals) if np.ndim(vals) == 0 else vals

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own solvers: the step
 response is re-derived from the closed form with math-module scalars, and
 crossings are located by plain bisection (plus a dense linear scan for the
-settling search), so agreement with the package is meaningful. The RK4
+settling search), so agreement with the package is meaningful. Polynomials
+are evaluated by a Horner loop over Python complex numbers. The RK4
 reference steps the simulator's affine map one step at a time, the plain
 loop the package's block propagation must reproduce; the modal step
 response is exact. The family members are built one transfer function at
@@ -89,6 +90,14 @@ def newton_on_step(zeta, target):
         except NumericalError:
             h /= 2.0
     raise AssertionError("Newton solver kept diverging as the window shrank")
+
+
+def horner(coeffs, s):
+    """Polynomial value at s by Horner's rule over Python complex numbers."""
+    acc = 0j
+    for c in coeffs:
+        acc = acc * complex(s) + float(c)
+    return acc
 
 
 def loop_step_response(tf, step_size, n_steps):

@@ -20,6 +20,7 @@ from trackbounds import (
     freq_response,
     gain_adjust,
     make_grid,
+    ratfit,
     report,
 )
 
@@ -195,6 +196,18 @@ class TestCleanup:
             old = np.abs(freq_response(tf, grid).values[0])
             new = np.abs(freq_response(cleaned, grid).values[0])
             assert abs(old - new) / old < 1e-10
+
+    def test_gain_factor_independent_of_eval_poly_type(self, monkeypatch):
+        # (s - 0.5) / ((s + 1.5)(s + 4)) at 0.5 rad/s: numpy's complex division
+        # moves this gain factor by one unit in the last place
+        tf = RationalTF([1.0, -0.5], np.poly([-1.5, -4.0]))
+        expected = cleanup(tf, ref_omega=0.5)
+        evaluate = ratfit.eval_poly
+        monkeypatch.setattr(ratfit, "eval_poly",
+                            lambda coeffs, s: np.complex128(evaluate(coeffs, s)))
+        cleaned = cleanup(tf, ref_omega=0.5)
+        assert np.array_equal(cleaned.num, expected.num)
+        assert np.array_equal(cleaned.den, expected.den)
 
     def test_tolerance_validation(self):
         tf = RationalTF([1.0], [1.0, 1.0])

@@ -1,5 +1,7 @@
 """Tests for step-response simulation and round-trip verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import loop_step_response, oracle_modal_step
@@ -120,6 +122,18 @@ class TestStepResponse:
         # about 6.7e9 steps of two states would need over 100 GB
         with pytest.raises(NumericalError, match="budget"):
             step_response(make_tf(MEMBER1), 1e9)
+
+    def test_trace_memory_is_its_two_arrays(self):
+        # 8,000,001 samples: times and values are 61 MiB each, held uncopied
+        tracemalloc.start()
+        try:
+            trace = step_response(make_tf(MEMBER1), 80_000.0, step_size=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.values.size == 8_000_001
+        assert peak <= 130 * 2**20
+        assert not trace.times.flags.writeable and not trace.values.flags.writeable
 
     def test_high_order_long_trace_within_budget(self):
         # 1.5e6 steps of 12 states: the budget counts the samples and the block

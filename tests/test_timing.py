@@ -7,8 +7,10 @@ import oracles
 from trackbounds import (
     NumericalError,
     SecondOrderParams,
+    Spec,
     ToleranceBand,
     TimeDomainMetrics,
+    build_wd,
     extract_metrics,
     make_tf,
     newton_inverse_interp,
@@ -21,6 +23,7 @@ from trackbounds import (
 )
 
 BAND = ToleranceBand(0.03)
+WORKED = Spec(mp=0.15, tr=5.0, ts=30.0, dev=0.03, wi=5)
 
 # frozen reference values from the independent bisection oracle in oracles.py
 RISE_051696 = 1.670969076362589
@@ -56,8 +59,8 @@ class TestNewtonInverseInterp:
         assert abs(newton_inverse_interp(t, 3.0 * t + 1.0, 8.5) - 2.5) < 1e-12
 
     def test_quintic_polynomials_are_exact(self):
-        # gently curved monotone quintics; the fixed-point iteration is a
-        # contraction when higher-order differences stay below the first
+        # gently curved monotone quintics: one root in the window, which
+        # Newton-Raphson reaches from the secant start
         rng = np.random.default_rng(31)
         for _ in range(25):
             coeffs = np.zeros(6)
@@ -130,6 +133,22 @@ class TestRefinedCrossing:
         with pytest.raises(NumericalError, match="did not converge"):
             timing._refined_crossing(ramp, 0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("zeta_step", [0.05, 0.01])
+    def test_worked_example_sweep_never_raises(self, monkeypatch, zeta_step):
+        solve = timing.newton_inverse_interp
+        raised = []
+
+        def counted(times, values, target):
+            try:
+                return solve(times, values, target)
+            except (ValueError, NumericalError) as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(timing, "newton_inverse_interp", counted)
+        build_wd(WORKED, zeta_step=zeta_step)
+        assert raised == []
+
 
 class TestUnitRiseTime:
     def test_low_damping_member(self):
@@ -150,6 +169,13 @@ class TestUnitRiseTime:
         rng = np.random.default_rng(71)
         for zeta in rng.uniform(0.05, 0.99, 40):
             assert abs(unit_rise_time(zeta) - oracles.oracle_rise_time(zeta)) < 1e-7
+
+    def test_damping_near_0_6_matches_oracle(self):
+        # here two coarse refinement levels can agree to 1e-6 while sharing
+        # one interpolation error of about 2.5e-7
+        rng = np.random.default_rng(73)
+        for zeta in rng.uniform(0.59, 0.61, 20):
+            assert abs(unit_rise_time(zeta) - oracles.oracle_rise_time(zeta)) < 1e-8
 
     def test_monotone_in_damping(self):
         zs = np.linspace(0.2, 0.95, 12)
@@ -184,7 +210,7 @@ class TestUnitSettlingTime:
         for zeta, dev in cases:
             mine = unit_settling_time(zeta, ToleranceBand(dev))
             ref = oracles.oracle_settling_time(zeta, dev)
-            assert abs(mine - ref) < 1e-7
+            assert abs(mine - ref) < 1e-8
 
     @pytest.mark.parametrize("zeta", [1e-4, 1 - 1e-5])
     def test_extreme_damping_converges(self, zeta):
@@ -195,6 +221,17 @@ class TestUnitSettlingTime:
         narrow = unit_settling_time(zeta, ToleranceBand(0.001))
         assert np.isfinite(wide) and np.isfinite(narrow)
         assert narrow >= wide
+
+    @pytest.mark.parametrize("zeta, dev", [
+        (0.00010035583950070108, 0.001747851604547699),
+        (0.0001021720018258611, 0.001079952052013441),
+        (0.00011892759354763438, 0.0022425820621359183),
+    ])
+    def test_late_band_entry_converges(self, zeta, dev):
+        # the band is entered near t = 6e4, where absolute sample times
+        # round unequally by more than the solver's spacing tolerance
+        t = unit_settling_time(zeta, ToleranceBand(dev))
+        assert abs(abs(oracles.step_scalar(zeta, t) - 1.0) - dev) < 1e-12
 
     def test_tighter_band_settles_no_sooner(self):
         for zeta in (0.3, 0.52, 0.7, 0.9):
@@ -222,6 +259,12 @@ class TestOmegaNFor:
         wn = omega_n_for(0.51696, 1e9, 30.0, BAND)
         assert abs(wn - 0.186) < 1e-3
         assert abs(wn - SETTLE_051696 / 30.0) < 1e-6
+
+    def test_worked_example_sweep_matches_oracle(self):
+        table = build_wd(WORKED, zeta_step=0.01)
+        for zeta, wn in zip(table.zetas(), table.omega_ns()):
+            ref = oracles.oracle_omega_n(zeta, WORKED.tr, WORKED.ts, WORKED.dev)
+            assert abs(wn - ref) <= 1e-9 * ref
 
     def test_homogeneity_is_exact(self):
         a = omega_n_for(0.6, 5.0, 30.0, BAND)
