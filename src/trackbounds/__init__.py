@@ -75,6 +75,7 @@ from .timing import (
     extract_metrics,
     newton_inverse_interp,
     omega_n_for,
+    omega_ns_for,
     unit_rise_time,
     unit_settling_time,
 )
@@ -87,7 +88,7 @@ __all__ = [
     "SecondOrderParams", "zeta_min", "overshoot", "step_value", "make_tf", "scale_omega",
     "ToleranceBand", "TimeDomainMetrics",
     "newton_inverse_interp", "unit_rise_time", "unit_settling_time",
-    "omega_n_for", "extract_metrics",
+    "omega_n_for", "omega_ns_for", "extract_metrics",
     "Spec", "WdTable", "build_wd", "family_response",
     "format_wd_table", "parse_wd_table", "read_wd_table",
     "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .sos_core import SecondOrderParams, zeta_min
-from .timing import ToleranceBand, omega_n_for
+from .timing import ToleranceBand, omega_ns_for
 
 __all__ = [
     "Spec",
@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 _WD_HEADER = "zeta,omega_n"
-# largest damping sweep; its run time grows with the pairs, three crossings each
+# largest damping sweep; its run time and the crossing solver's arrays grow
+# with the pairs, three crossings each
 _MAX_WD_PAIRS = 1000
 # largest family response, wi * pairs * points complex entries (64 MiB)
 _MAX_FAMILY_ENTRIES = 2**22
@@ -100,16 +101,11 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
         raise ValueError("zeta step must lie in (0, 1 - zeta_min)")
     if (1 - z_min) / zeta_step > _MAX_WD_PAIRS:
         raise NumericalError(f"zeta step {zeta_step!r} needs more than {_MAX_WD_PAIRS} pairs")
-    band = ToleranceBand(spec.dev)
-    pairs = []
-    k = 0
-    while True:
-        z = z_min + k * zeta_step
-        if z >= 1:
-            break
-        pairs.append(SecondOrderParams(omega_n_for(z, spec.tr, spec.ts, band), z))
-        k += 1
-    return WdTable(tuple(pairs))
+    zetas = []
+    while (z := z_min + len(zetas) * zeta_step) < 1:
+        zetas.append(z)
+    omega_ns = omega_ns_for(zetas, spec.tr, spec.ts, ToleranceBand(spec.dev))
+    return WdTable(tuple(SecondOrderParams(wn, z) for wn, z in zip(omega_ns.tolist(), zetas)))
 
 
 def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:

@@ -61,13 +61,20 @@ def step_value(params: SecondOrderParams, t):
     """
     wn, z = params.omega_n, params.zeta
     root = math.sqrt(1 - z * z)
-    wd = wn * root
-    phi = math.acos(z)
     t_arr = np.asarray(t, dtype=float)
-    out = 1.0 - np.exp(-z * wn * t_arr) / root * np.sin(wd * t_arr + phi)
+    out = closed_form_step(-z * wn, root, wn * root, math.acos(z), t_arr)
     if t_arr.ndim == 0:
         return float(out)
     return out
+
+
+def closed_form_step(decay, root, wd, phi, t):
+    """1 - exp(decay*t)/root * sin(wd*t + phi), broadcast over all arguments.
+
+    step_value with decay = -zeta*wn, root = sqrt(1-zeta^2), wd = wn*root and
+    phi = arccos(zeta); arrays of those let many members share one call.
+    """
+    return 1.0 - np.exp(decay * t) / root * np.sin(wd * t + phi)
 
 
 def make_tf(params: SecondOrderParams) -> RationalTF:

@@ -1,5 +1,7 @@
 """Tests for crossing solvers, rise/settling times, and trace metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from trackbounds import (
     make_tf,
     newton_inverse_interp,
     omega_n_for,
+    omega_ns_for,
     step_response,
     step_value,
     timing,
@@ -117,37 +120,106 @@ class TestNewtonInverseInterp:
         with pytest.raises(NumericalError, match="diverged"):
             newton_inverse_interp(t, f, 0.5)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (69000.0, 69000.01), (69000.0, 69000.001), (68999.99, 69000.03), (69000.0, 69000.000012),
+    ])
+    def test_linspace_samples_far_from_zero_are_equally_spaced(self, lo, hi):
+        # their spacings differ by a few ulps of 6.9e4, far above 1e-12
+        t = np.linspace(lo, hi, 6)
+        t_hat = newton_inverse_interp(t, 2.0 * (t - lo), hi - lo)
+        assert abs(t_hat - (lo + hi) / 2) <= 1e-10 * hi
+
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(83)
+        times, values, targets = [], [], []
+        for _ in range(12):
+            zeta = float(rng.uniform(0.1, 0.99))
+            t = float(rng.uniform(0.2, 2.0)) + 0.1 * np.arange(6.0)
+            times.append(t)
+            values.append(step_value(SecondOrderParams(1.0, zeta), t))
+            targets.append(float(rng.uniform(values[-1][0], values[-1][-1])))
+        t = np.arange(6.0)
+        failing = [  # unequal spacing, an infinite time, unbracketed, flat, diverging
+            (np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.5]), t, 2.0),
+            (np.array([0.0, 1.0, 2.0, 3.0, 4.0, np.inf]), t, 2.0),
+            (t, t, 9.0),
+            (t, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), 0.5),
+            (t, np.array([0.0, 1e-300, 1.0, -1e300, 1e300, 1.0]), 0.5),
+        ]
+        for tf, ff, target in failing:
+            times.append(tf)
+            values.append(ff)
+            targets.append(target)
+        rows = newton_inverse_interp(np.array(times), np.array(values), np.array(targets))
+        assert rows.shape == (len(times),)
+        for k, (tf, ff, target) in enumerate(zip(times, values, targets)):
+            try:
+                assert rows[k] == newton_inverse_interp(tf, ff, target)
+            except (ValueError, NumericalError):
+                assert np.isnan(rows[k])
+        assert np.isnan(rows[-len(failing):]).all()
+        assert np.isfinite(rows[:-len(failing)]).all()
+
+
+def newton_statuses(monkeypatch):
+    """Status of every row the crossing solver hands to Newton-Raphson."""
+    solve = timing._invert_rows
+    statuses = []
+
+    def recorded(times, values, target):
+        est, status = solve(times, values, target)
+        statuses.extend(status.tolist())
+        return est, status
+
+    monkeypatch.setattr(timing, "_invert_rows", recorded)
+    return statuses
+
 
 class TestRefinedCrossing:
     def test_unsolved_crossing_stops_at_the_level_cap(self, monkeypatch):
         def diverge(times, values, target):
-            raise NumericalError("inverse interpolation diverged")
+            return np.full(len(times), np.nan), np.full(len(times), timing._DIVERGED)
 
-        monkeypatch.setattr(timing, "newton_inverse_interp", diverge)
-        largest = 5 * 2**19 + 1
+        pairs = len(build_wd(WORKED, zeta_step=0.01))
+        step = timing.closed_form_step
+        widths = []
 
-        def ramp(ts):
-            assert ts.size <= largest
-            return ts
+        def sampled(decay, root, wd, phi, t):
+            widths.append(t.shape)
+            return step(decay, root, wd, phi, t)
 
+        monkeypatch.setattr(timing, "_invert_rows", diverge)
+        monkeypatch.setattr(timing, "closed_form_step", sampled)
         with pytest.raises(NumericalError, match="did not converge"):
-            timing._refined_crossing(ramp, 0.0, 1.0, 0.5)
+            build_wd(WORKED, zeta_step=0.01)
+        # every level evaluates every row, and never more than 17 samples of
+        # it, while the last level's grid has 5 * 2**19 + 1 points
+        assert len(widths) == 20
+        assert all(rows == 3 * pairs and width <= 17 for rows, width in widths)
 
     @pytest.mark.parametrize("zeta_step", [0.05, 0.01])
     def test_worked_example_sweep_never_raises(self, monkeypatch, zeta_step):
-        solve = timing.newton_inverse_interp
-        raised = []
-
-        def counted(times, values, target):
-            try:
-                return solve(times, values, target)
-            except (ValueError, NumericalError) as exc:
-                raised.append(exc)
-                raise
-
-        monkeypatch.setattr(timing, "newton_inverse_interp", counted)
+        # no row of any refinement level fails its Newton-Raphson solve
+        statuses = newton_statuses(monkeypatch)
         build_wd(WORKED, zeta_step=zeta_step)
-        assert raised == []
+        assert statuses and set(statuses) == {timing._OK}
+
+    def test_batch_rows_are_independent(self):
+        # each damping ratio solved with others gives its one-ratio result
+        rng = np.random.default_rng(89)
+        for dev in (0.005, 0.03, 0.2):
+            zetas = rng.uniform(0.05, 0.99, 25)
+            band = ToleranceBand(dev)
+            batch = omega_ns_for(zetas, 3.0, 20.0, band)
+            single = [omega_n_for(float(z), 3.0, 20.0, band) for z in zetas]
+            assert batch.tolist() == single
+            assert omega_ns_for(zetas[::-1], 3.0, 20.0, band).tolist() == single[::-1]
+
+    def test_fine_sweep_emits_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                build_wd(WORKED, zeta_step=0.01)
 
 
 class TestUnitRiseTime:
@@ -176,6 +248,24 @@ class TestUnitRiseTime:
         rng = np.random.default_rng(73)
         for zeta in rng.uniform(0.59, 0.61, 20):
             assert abs(unit_rise_time(zeta) - oracles.oracle_rise_time(zeta)) < 1e-8
+
+    def test_window_cap_brackets_both_crossings(self):
+        # the response reaches 0.9 by the end of the capped window
+        zetas = np.concatenate([np.linspace(1e-4, 0.99999, 20001),
+                                1 - np.geomspace(1e-5, 0.4, 2000)])
+        t_end = np.minimum(np.pi / np.sqrt(1 - zetas**2), timing._RISE_WINDOW)
+        values = [step_value(SecondOrderParams(1.0, float(z)), float(t))
+                  for z, t in zip(zetas, t_end)]
+        assert min(values) >= 0.908
+
+    def test_near_critical_damping_needs_no_extra_levels(self, monkeypatch):
+        # the first peak recedes without bound as zeta -> 1; the crossings do not
+        statuses = newton_statuses(monkeypatch)
+        unit_rise_time(0.9)
+        at_0_9 = len(statuses)
+        statuses.clear()
+        unit_rise_time(0.99999)
+        assert len(statuses) <= at_0_9
 
     def test_monotone_in_damping(self):
         zs = np.linspace(0.2, 0.95, 12)
