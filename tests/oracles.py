@@ -6,7 +6,9 @@ crossings are located by plain bisection (plus a dense linear scan for the
 settling search), so agreement with the package is meaningful. Polynomials
 are evaluated by a Horner loop over Python complex numbers. The RK4
 reference steps the simulator's affine map one step at a time, the plain
-loop the package's block propagation must reproduce; the modal step
+loop the package's block propagation must reproduce, and the crossing
+references solve one crossing at a time on the whole sampled window, the
+plain loops the package's batched crossing solver must reproduce; the modal step
 response is exact. The family members are built one transfer function at
 a time, the form the package's broadcast family response must reproduce.
 """
@@ -90,6 +92,83 @@ def newton_on_step(zeta, target):
         except NumericalError:
             h /= 2.0
     raise AssertionError("Newton solver kept diverging as the window shrank")
+
+
+def loop_newton_inverse(times, values, target):
+    """Newton inverse interpolation of six samples by the plain scalar loop.
+
+    The fifth-order forward-difference quintic inverted by Newton-Raphson
+    from the secant start, with the same checks, in Python floats one
+    sample at a time: the arithmetic the package's row solver must
+    reproduce bit for bit. Returns None where the package fails a row.
+    """
+    t = [float(x) for x in times]
+    f = [float(x) for x in values]
+    h = t[1] - t[0]
+    tol = 1e-12 * max(1.0, abs(t[0]), abs(t[5])) + 1e-9 * abs(h)
+    if not (h > 0 and math.isfinite(tol)):
+        return None
+    if not all(abs((b - a) - h) <= tol for a, b in zip(t, t[1:])):
+        return None
+    if not min(f) <= target <= max(f):
+        return None
+    diffs = [f[0]]
+    col = f
+    for _ in range(5):
+        col = [b - a for a, b in zip(col, col[1:])]
+        diffs.append(col[0])
+    if diffs[1] == 0:
+        return None
+    u = (target - diffs[0]) / diffs[1]
+    for _ in range(100):
+        g = diffs[0] - target
+        dg = 0.0
+        prod = 1.0
+        dprod = 0.0
+        fact = 1.0
+        for k in range(1, 6):
+            dprod = dprod * (u - (k - 1)) + prod
+            prod *= u - (k - 1)
+            fact *= k
+            g += prod / fact * diffs[k]
+            dg += dprod / fact * diffs[k]
+        if dg == 0:
+            return None
+        step = g / dg
+        u -= step
+        if not math.isfinite(u) or abs(u) > 1e6:
+            return None
+        if abs(step) < 1e-10:
+            return t[0] + u * h
+    return None
+
+
+def loop_refined_crossing(f, lo, hi, target):
+    """Crossing of target by f on [lo, hi], refining the whole window.
+
+    Level L samples all 5 * 2**L + 1 points of np.linspace over the window
+    (by their offset from lo) and solves the six around the crossing with
+    loop_newton_inverse, until two successive estimates agree within 1e-8,
+    for at most 20 levels: the results the package's batched solver, which
+    evaluates only the points near each crossing, must reproduce bit for
+    bit. Returns None if no two estimates agree.
+    """
+    prev = None
+    for level in range(20):
+        n = 5 * 2**level + 1
+        ds = np.linspace(0.0, hi - lo, n)
+        fs = f(lo + ds)
+        sign = 1.0 if fs[-1] >= fs[0] else -1.0
+        j = int(np.searchsorted(sign * fs, sign * target))
+        w = min(max(j - 3, 0), n - 6)
+        d_hat = loop_newton_inverse(ds[w:w + 6], fs[w:w + 6], target)
+        if d_hat is None or not ds[w] <= d_hat <= ds[w + 5]:
+            continue
+        t_hat = lo + d_hat
+        if prev is not None and abs(t_hat - prev) < 1e-8:
+            return float(t_hat)
+        prev = t_hat
+    return None
 
 
 def horner(coeffs, s):

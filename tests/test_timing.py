@@ -153,6 +153,8 @@ class TestNewtonInverseInterp:
         rows = newton_inverse_interp(np.array(times), np.array(values), np.array(targets))
         assert rows.shape == (len(times),)
         for k, (tf, ff, target) in enumerate(zip(times, values, targets)):
+            ref = oracles.loop_newton_inverse(tf, ff, target)
+            assert np.isnan(rows[k]) if ref is None else rows[k] == ref
             try:
                 assert rows[k] == newton_inverse_interp(tf, ff, target)
             except (ValueError, NumericalError):
@@ -214,6 +216,18 @@ class TestRefinedCrossing:
             single = [omega_n_for(float(z), 3.0, 20.0, band) for z in zetas]
             assert batch.tolist() == single
             assert omega_ns_for(zetas[::-1], 3.0, 20.0, band).tolist() == single[::-1]
+
+    def test_batch_matches_full_grid_loop(self):
+        # sampling only near each bracket gives the whole-window results
+        rng = np.random.default_rng(97)
+        zetas = np.concatenate([rng.uniform(0.05, 0.99, 12), [1e-3, 0.999]])
+        rows = [np.concatenate(parts) for parts in
+                zip(timing._rise_rows(zetas), timing._settling_rows(zetas, ToleranceBand(0.02)))]
+        batch = timing._crossings(*rows)
+        for k, (zeta, lo, hi, target) in enumerate(zip(*rows)):
+            params = SecondOrderParams(1.0, float(zeta))
+            ref = oracles.loop_refined_crossing(lambda t: step_value(params, t), lo, hi, target)
+            assert batch[k] == ref
 
     def test_fine_sweep_emits_no_numpy_warning(self):
         with warnings.catch_warnings():
