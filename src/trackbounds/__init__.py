@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .envelope import (
     BoundPair,
     envelope_of,
-    format_envelope,
     make_grid,
     select_restricted,
 )
@@ -30,7 +29,10 @@ from .pipeline import (
     PipelineResult,
     SummaryDoc,
     emit,
+    format_envelope,
+    format_fit_report,
     format_summary,
+    format_trace,
     parse_summary,
     run_pipeline,
     summary_skeleton,
@@ -40,14 +42,12 @@ from .ratfit import (
     FitReport,
     cleanup,
     fit,
-    format_fit_report,
     gain_adjust,
     report,
 )
 from .simulate import (
     FinalTD,
     StepTrace,
-    format_trace,
     round_trip,
     settled_step_response,
     step_response,

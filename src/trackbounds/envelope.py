@@ -24,7 +24,6 @@ __all__ = [
     "make_grid",
     "envelope_of",
     "select_restricted",
-    "format_envelope",
 ]
 
 _REL_TIE = 1e-12
@@ -102,11 +101,3 @@ def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) ->
             upper = k
     return BoundPair(make_tf(table.pairs[lower]),
                      make_tf(scale_omega(table.pairs[upper], wi)))
-
-
-def format_envelope(resp: FrequencyResponse) -> str:
-    """CSV rendering with columns omega, mag, phase_deg."""
-    lines = ["omega,mag,phase_deg"]
-    for w, m, p in zip(resp.grid.omegas, resp.magnitude(), np.degrees(resp.phase())):
-        lines.append(f"{float(w)!r},{float(m)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 run_pipeline() carries a time-domain specification through the damping
 sweep, bound construction (endpoint-restricted members or fitted
-envelopes), and the round-trip simulation check. emit() writes the
-deterministic text outputs; the summary document round-trips through
-parse_summary() so results can be reloaded without pickling.
+envelopes), and the round-trip simulation check. emit() writes the text
+outputs. This module owns every artifact format but the wd table's (see
+family): every float is written with repr, so the CSV files and the
+summary, laid out by one list of keys, parse back without loss.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .envelope import BoundPair, envelope_of, format_envelope, make_grid, select_restricted
+from .envelope import BoundPair, envelope_of, make_grid, select_restricted
 from .errors import NumericalError
-from .family import Spec, WdTable, build_wd, family_response, format_wd_table
-from .ratfit import FitProblem, FitReport, cleanup, fit, format_fit_report, gain_adjust, report
-from .simulate import FinalTD, StepTrace, format_trace, round_trip
-from .tf_model import FrequencyGrid, dc_gain, freq_response
+from .family import Spec, WdTable, build_wd, family_response, format_wd_table, parse_wd_table
+from .ratfit import FitProblem, FitReport, cleanup, fit, gain_adjust, report
+from .simulate import FinalTD, StepTrace, round_trip
+from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
 from .timing import TimeDomainMetrics
 
 __all__ = [
@@ -30,6 +31,9 @@ __all__ = [
     "SummaryDoc",
     "run_pipeline",
     "emit",
+    "format_envelope",
+    "format_fit_report",
+    "format_trace",
     "format_summary",
     "parse_summary",
     "summary_skeleton",
@@ -117,57 +121,14 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_coeffs(coeffs) -> str:
-    return ",".join(_fmt(c) for c in coeffs)
-
-
-def format_summary(result: PipelineResult) -> str:
-    """Deterministic text summary; identical runs yield identical bytes."""
-    spec = result.spec
-    lines = [
-        f"# trackbounds {__version__} summary",
-        "format = 1",
-        f"mode = {result.mode}",
-        "",
-        "[spec]",
-        f"mp = {_fmt(spec.mp)}",
-        f"tr = {_fmt(spec.tr)}",
-        f"ts = {_fmt(spec.ts)}",
-        f"dev = {_fmt(spec.dev)}",
-        f"wi = {spec.wi}",
-        "",
-        "[wd_table]",
-    ]
-    lines += format_wd_table(result.wd).rstrip("\n").split("\n")
-    lines += [
-        "",
-        "[bounds]",
-        f"lower_num = {_fmt_coeffs(result.bounds.lower.num)}",
-        f"lower_den = {_fmt_coeffs(result.bounds.lower.den)}",
-        f"upper_num = {_fmt_coeffs(result.bounds.upper.num)}",
-        f"upper_den = {_fmt_coeffs(result.bounds.upper.den)}",
-    ]
-    if result.fit_reports is not None:
-        for name, rep in zip(("fit_lower", "fit_upper"), result.fit_reports):
-            lines += [
-                "",
-                f"[{name}]",
-                f"max_mag_error = {_fmt(rep.max_mag_error)}",
-                f"max_phase_error_deg = {_fmt(rep.max_phase_error_deg)}",
-            ]
-    lines += ["", "[final_td]"]
-    for name, m in (("lower", result.final.lower), ("upper", result.final.upper)):
-        lines += [
-            f"{name}_mp = {_fmt(m.mp)}",
-            f"{name}_tr = {_fmt(m.tr)}",
-            f"{name}_ts = {_fmt(m.ts)}",
-            f"{name}_final = {_fmt(m.final_value)}",
-        ]
-    return "\n".join(lines) + "\n"
+# the summary's keys in document order, for format_summary and parse_summary;
+# each names a field of Spec, SummaryDoc, FitReport or, after the side's
+# prefix, TimeDomainMetrics
+_SPEC_KEYS = (("mp", float), ("tr", float), ("ts", float), ("dev", float), ("wi", int))
+_BOUND_KEYS = ("lower_num", "lower_den", "upper_num", "upper_den")
+_FIT_KEYS = ("max_mag_error", "max_phase_error_deg")
+_FINAL_KEYS = (("mp", "mp"), ("tr", "tr"), ("ts", "ts"), ("final", "final_value"))
+_SIDES = ("lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -188,26 +149,51 @@ class SummaryDoc:
 
 def summary_skeleton(result: PipelineResult) -> SummaryDoc:
     """The part of a result the summary document carries."""
-    reports = result.fit_reports
+    fits = [None if rep is None else tuple(getattr(rep, key) for key in _FIT_KEYS)
+            for rep in result.fit_reports or (None, None)]
     return SummaryDoc(
         mode=result.mode,
         spec=result.spec,
         wd=tuple((p.zeta, p.omega_n) for p in result.wd.pairs),
-        lower_num=tuple(result.bounds.lower.num),
-        lower_den=tuple(result.bounds.lower.den),
-        upper_num=tuple(result.bounds.upper.num),
-        upper_den=tuple(result.bounds.upper.den),
-        fit_lower=None if reports is None else
-        (reports[0].max_mag_error, reports[0].max_phase_error_deg),
-        fit_upper=None if reports is None else
-        (reports[1].max_mag_error, reports[1].max_phase_error_deg),
+        lower_num=tuple(result.bounds.lower.num.tolist()),
+        lower_den=tuple(result.bounds.lower.den.tolist()),
+        upper_num=tuple(result.bounds.upper.num.tolist()),
+        upper_den=tuple(result.bounds.upper.den.tolist()),
+        fit_lower=fits[0],
+        fit_upper=fits[1],
         final=result.final,
     )
 
 
+def format_summary(result: PipelineResult) -> str:
+    """Deterministic text summary; identical runs yield identical bytes."""
+    doc = summary_skeleton(result)
+    lines = [f"# trackbounds {__version__} summary", "format = 1", f"mode = {doc.mode}",
+             "", "[spec]"]
+    lines += [f"{key} = {kind(getattr(doc.spec, key))!r}" for key, kind in _SPEC_KEYS]
+    lines += ["", "[wd_table]", format_wd_table(result.wd).rstrip("\n"), "", "[bounds]"]
+    lines += [f"{key} = {','.join(map(repr, getattr(doc, key)))}" for key in _BOUND_KEYS]
+    for side in _SIDES:
+        fit_errors = getattr(doc, f"fit_{side}")
+        if fit_errors is not None:
+            lines += ["", f"[fit_{side}]"]
+            lines += [f"{key} = {float(v)!r}" for key, v in zip(_FIT_KEYS, fit_errors)]
+    lines += ["", "[final_td]"]
+    for side in _SIDES:
+        metrics = getattr(doc.final, side)
+        lines += [f"{side}_{key} = {float(getattr(metrics, field))!r}"
+                  for key, field in _FINAL_KEYS]
+    return "\n".join(lines) + "\n"
+
+
 def parse_summary(text: str) -> SummaryDoc:
-    """Parse a summary document back into its skeleton."""
-    sections: dict[str, list[str]] = {"": []}
+    """Parse a summary document back into its skeleton.
+
+    A missing section, or a key missing or unreadable, raises ValueError
+    naming both.
+    """
+    fields: dict[str, dict[str, str]] = {"": {}}
+    wd_lines = []
     current = ""
     for raw in text.splitlines():
         line = raw.strip()
@@ -215,58 +201,69 @@ def parse_summary(text: str) -> SummaryDoc:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
-            sections[current] = []
+            fields[current] = {}
+        elif current == "wd_table":
+            wd_lines.append(line)
         else:
-            sections[current].append(line)
+            key, eq, raw_value = line.partition("=")
+            if not eq:
+                raise ValueError(f"malformed summary line in [{current}]: {line!r}")
+            fields[current][key.strip()] = raw_value.strip()
 
-    def kv(section: str) -> dict[str, str]:
-        out = {}
-        for line in sections.get(section, []):
-            if "=" not in line:
-                raise ValueError(f"malformed summary line in [{section}]: {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-        return out
+    def value(section: str, key: str, kind=float):
+        try:
+            return kind(fields[section][key])
+        except (KeyError, ValueError):
+            raise ValueError(f"summary [{section}] has no valid {key!r}") from None
 
-    head = kv("")
-    if head.get("format") != "1":
+    if fields[""].get("format") != "1":
         raise ValueError("unsupported summary format")
-    spec_kv = kv("spec")
-    spec = Spec(
-        mp=float(spec_kv["mp"]), tr=float(spec_kv["tr"]), ts=float(spec_kv["ts"]),
-        dev=float(spec_kv["dev"]), wi=int(spec_kv["wi"]),
-    )
-    wd_lines = sections.get("wd_table", [])
-    if not wd_lines or wd_lines[0] != "zeta,omega_n":
-        raise ValueError("summary wd_table section is malformed")
-    wd = tuple(tuple(float(f) for f in line.split(",")) for line in wd_lines[1:])
+    try:
+        table = parse_wd_table("\n".join(wd_lines))
+    except ValueError as exc:
+        raise ValueError(f"summary [wd_table]: {exc}") from None
+    fits = [tuple(value(f"fit_{side}", key) for key in _FIT_KEYS)
+            if f"fit_{side}" in fields else None for side in _SIDES]
 
-    bounds_kv = kv("bounds")
-
-    def coeffs(key: str) -> tuple:
-        return tuple(float(f) for f in bounds_kv[key].split(","))
-
-    def fit_pair(section: str) -> tuple | None:
-        if section not in sections:
-            return None
-        d = kv(section)
-        return (float(d["max_mag_error"]), float(d["max_phase_error_deg"]))
-
-    final_kv = kv("final_td")
-
-    def metrics(prefix: str) -> TimeDomainMetrics:
-        return TimeDomainMetrics(
-            mp=float(final_kv[f"{prefix}_mp"]), tr=float(final_kv[f"{prefix}_tr"]),
-            ts=float(final_kv[f"{prefix}_ts"]), final_value=float(final_kv[f"{prefix}_final"]),
-        )
+    def metrics(side: str) -> TimeDomainMetrics:
+        return TimeDomainMetrics(**{field: value("final_td", f"{side}_{key}")
+                                    for key, field in _FINAL_KEYS})
 
     return SummaryDoc(
-        mode=head["mode"], spec=spec, wd=wd,
-        lower_num=coeffs("lower_num"), lower_den=coeffs("lower_den"),
-        upper_num=coeffs("upper_num"), upper_den=coeffs("upper_den"),
-        fit_lower=fit_pair("fit_lower"), fit_upper=fit_pair("fit_upper"),
-        final=FinalTD(lower=metrics("lower"), upper=metrics("upper")),
+        mode=value("", "mode", str),
+        spec=Spec(**{key: value("spec", key, kind) for key, kind in _SPEC_KEYS}),
+        wd=tuple((p.zeta, p.omega_n) for p in table.pairs),
+        **{key: value("bounds", key, lambda v: tuple(map(float, v.split(","))))
+           for key in _BOUND_KEYS},
+        fit_lower=fits[0],
+        fit_upper=fits[1],
+        final=FinalTD(metrics("lower"), metrics("upper")),
     )
+
+
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header, then row k of the columns as repr'd floats."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%r"] * rows.shape[1]) + "\n"
+    return header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def format_envelope(resp: FrequencyResponse) -> str:
+    """CSV rendering with columns omega, mag, phase_deg."""
+    return _csv("omega,mag,phase_deg", resp.grid.omegas, resp.magnitude(), np.degrees(resp.phase()))
+
+
+def format_fit_report(rep: FitReport) -> str:
+    """CSV rendering: data, fit, and error columns per frequency."""
+    return _csv("omega,mag_data,mag_fit,mag_err,phase_data_deg,phase_fit_deg,phase_err_deg",
+                rep.data.grid.omegas, rep.data.magnitude(), rep.response.magnitude(),
+                rep.mag_error, np.degrees(rep.data.phase()), np.degrees(rep.response.phase()),
+                rep.phase_error_deg)
+
+
+def format_trace(trace: StepTrace) -> str:
+    """CSV rendering with columns t, y."""
+    return _csv("t,y", trace.times, trace.values)
 
 
 def _format_family_bode(result: PipelineResult):

@@ -30,7 +30,6 @@ __all__ = [
     "cleanup",
     "gain_adjust",
     "report",
-    "format_fit_report",
 ]
 
 _COND_LIMIT = 1e12
@@ -200,19 +199,3 @@ def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:
         max_mag_error=float(np.max(mag_error)),
         max_phase_error_deg=float(phase_error_deg[worst]),
     )
-
-
-def format_fit_report(rep: FitReport) -> str:
-    """CSV rendering: data, fit, and error columns per frequency."""
-    mag_d = rep.data.magnitude()
-    mag_f = rep.response.magnitude()
-    ph_d = np.degrees(rep.data.phase())
-    ph_f = np.degrees(rep.response.phase())
-    lines = ["omega,mag_data,mag_fit,mag_err,phase_data_deg,phase_fit_deg,phase_err_deg"]
-    for k, w in enumerate(rep.data.grid.omegas):
-        lines.append(
-            f"{float(w)!r},{float(mag_d[k])!r},{float(mag_f[k])!r},"
-            f"{float(rep.mag_error[k])!r},{float(ph_d[k])!r},{float(ph_f[k])!r},"
-            f"{float(rep.phase_error_deg[k])!r}"
-        )
-    return "\n".join(lines) + "\n"

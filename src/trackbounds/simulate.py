@@ -37,7 +37,6 @@ __all__ = [
     "step_response",
     "settled_step_response",
     "round_trip",
-    "format_trace",
 ]
 
 _MAX_EXTENSIONS = 16
@@ -187,10 +186,3 @@ def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace,
                    for tf in (bounds.lower, bounds.upper))
     lower, upper = (extract_metrics(tr.times, tr.values, band) for tr in traces)
     return FinalTD(lower=lower, upper=upper), traces
-
-
-def format_trace(trace: StepTrace) -> str:
-    """CSV rendering with columns t, y."""
-    lines = ["t,y"]
-    lines += [f"{float(t)!r},{float(y)!r}" for t, y in zip(trace.times, trace.values)]
-    return "\n".join(lines) + "\n"

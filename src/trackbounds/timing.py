@@ -99,27 +99,21 @@ class TimeDomainMetrics:
             raise ValueError("rise and settling times cannot be negative")
 
 
-def newton_inverse_interp(times, values, target):
+def newton_inverse_interp(times, values, target) -> float:
     """Solve f(t) = target from six equally spaced (t, f) samples.
 
     Builds the fifth-order Newton forward-difference polynomial and inverts
     it by Newton-Raphson on the normalized abscissa u, starting from the
     secant estimate; the derivative is accumulated in the same product loop
-    as the value. Samples of shape (6,) give a float, and unequal spacing, an
-    unbracketed target or an iteration that fails to settle within 100 steps
-    raise ValueError or NumericalError. Samples of shape (k, 6) are k
-    independent rows, target a scalar or one per row; they give k estimates,
-    NaN for each row that fails.
+    as the value. Unequal spacing, an unbracketed target or an iteration
+    that fails to settle within 100 steps raise ValueError or
+    NumericalError.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(values, dtype=float)
-    if t.shape[-1:] != (6,) or t.ndim > 2 or f.shape != t.shape:
+    if t.shape != (6,) or f.shape != (6,):
         raise ValueError("exactly six samples are required")
-    rows = t.reshape(-1, 6)
-    est, status = _invert_rows(rows, f.reshape(-1, 6),
-                               np.broadcast_to(np.asarray(target, dtype=float), len(rows)))
-    if t.ndim == 2:
-        return est
+    est, status = _invert_rows(t[None], f[None], np.array([target], dtype=float))
     if status[0] != _OK:
         error, message = _FAILURES[int(status[0])]
         raise error(message)

@@ -1,5 +1,6 @@
 """Tests for the end-to-end pipeline, summary documents, emit, and the CLI."""
 
+import hashlib
 import os
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from trackbounds import (
     emit,
+    family_response,
     format_summary,
     freq_response,
     make_tf,
@@ -133,6 +135,22 @@ class TestSummary:
         with pytest.raises(ValueError, match="malformed"):
             parse_summary(text)
 
+    @pytest.mark.parametrize("old, new, section, key", [
+        ("lower_den =", "lower_dem =", "bounds", "lower_den"),
+        ("lower_mp = ", "lower_mp = x", "final_td", "lower_mp"),
+        ("wi = 5", "wi = 5.0", "spec", "wi"),
+    ])
+    def test_bad_key_names_section_and_key(self, result_low, old, new, section, key):
+        text = format_summary(result_low).replace(old, new)
+        with pytest.raises(ValueError, match=rf"\[{section}\].*'{key}'"):
+            parse_summary(text)
+
+    def test_missing_section_names_section_and_key(self, result_env):
+        text = format_summary(result_env)
+        truncated = text[:text.index("[final_td]")]
+        with pytest.raises(ValueError, match=r"\[final_td\].*'lower_mp'"):
+            parse_summary(truncated)
+
 
 class TestEmit:
     def test_low_mode_file_set(self, result_low, tmp_path):
@@ -199,6 +217,45 @@ class TestEmit:
         for bode_row, fit_row in zip(bode[1:], fit_rows[1:]):
             omega, _, mag_fit, _, _, phase_fit_deg, _ = fit_row.split(",")
             assert bode_row == f"{omega},{mag_fit},{phase_fit_deg}"
+
+    def test_envelope_run_parses_back_exactly(self, result_env, tmp_path):
+        # every float is written with repr, so each field reads back as the
+        # very float the result holds
+        emit(result_env, tmp_path)
+
+        def columns(name):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            return header, [list(col) for col in zip(*([float(v) for v in row.split(",")]
+                                                         for row in rows))]
+
+        def as_lists(*arrays):
+            return [np.asarray(a, dtype=float).tolist() for a in arrays]
+
+        def bode(resp):
+            return as_lists(resp.grid.omegas, resp.magnitude(), np.degrees(resp.phase()))
+
+        for side, trace, rep in zip(("lower", "upper"), result_env.traces,
+                                    result_env.fit_reports):
+            assert columns(f"trace_{side}.csv") == ("t,y", as_lists(trace.times, trace.values))
+            assert columns(f"bode_{side}.csv") == ("omega,mag,phase_deg", bode(rep.response))
+            assert columns(f"envelope_{side}.csv") == ("omega,mag,phase_deg", bode(rep.data))
+            omega, mag_data, phase_data = bode(rep.data)
+            _, mag_fit, phase_fit = bode(rep.response)
+            assert columns(f"fit_report_{side}.csv") == (
+                "omega,mag_data,mag_fit,mag_err,phase_data_deg,phase_fit_deg,phase_err_deg",
+                [omega, mag_data, mag_fit, rep.mag_error.tolist(),
+                 phase_data, phase_fit, rep.phase_error_deg.tolist()])
+        pairs = result_env.wd.pairs
+        assert columns("wd_table.csv") == (
+            "zeta,omega_n", [[p.zeta for p in pairs], [p.omega_n for p in pairs]])
+        header, family = columns("bode_family.csv")
+        first = family_response(result_env.wd, 1, result_env.grid.omegas)[0, 0]
+        points = len(result_env.grid)
+        assert header == "zeta,i,omega,mag,phase_deg"
+        assert [col[:points] for col in family] == [
+            [pairs[0].zeta] * points, [1.0] * points,
+            *as_lists(result_env.grid.omegas, np.abs(first),
+                      np.degrees(np.unwrap(np.angle(first))))]
 
     def test_repeat_emits_are_byte_identical(self, result_low, tmp_path):
         first = emit(result_low, tmp_path / "a")
@@ -313,3 +370,59 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["--mp", "0.15"])
         assert excinfo.value.code == 1
+
+
+class TestWorkedExampleBytes:
+    """SHA-256 of stdout and every --out file of the worked example's CLI runs.
+
+    The runs take tests/data/example_wd_table.csv, so no damping sweep moves
+    their numbers. A change that alters any of these bytes re-pins them
+    here and says in CHANGES.md which bytes changed and why.
+    """
+
+    PINNED = {
+        "low": {
+            "stdout": "96efce6257a3857f29370a019d85fddda3ac922dd922d620fde20632062fdade",
+            "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
+            "bode_lower.csv": "0859bb8f841135b44716f2b3cc6cfb9d55076c2a3fdd52b65418a21e511b3073",
+            "bode_upper.csv": "92d46d8a51563096fc48ab0da4926498d4d9b1d9c62e88605bb4b41c591a3c39",
+            "summary.txt": "96efce6257a3857f29370a019d85fddda3ac922dd922d620fde20632062fdade",
+            "trace_lower.csv": "f05d0b8c39f66caec5fe1e9c74a15df2d8acf412b5e29fd0407cf6bffa435fed",
+            "trace_upper.csv": "5eee7a8f8861da7a7d1ec8becf4b72696f26903d1faf3d55ed1e7c5d080a43a8",
+            "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
+        },
+        "high": {
+            "stdout": "4b24d56fd8908f5a8cf420f5f5130b1451a6a240006134e42a2aa2c4d7e679d3",
+            "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
+            "bode_lower.csv": "21262a3251ac82504aa5973add4553007705b81fe56cf0c73fb5299a2d81fc8a",
+            "bode_upper.csv": "e4a6d5e494d88ad73d962a59291f90634076ca216d3942461b81b219270d8348",
+            "summary.txt": "4b24d56fd8908f5a8cf420f5f5130b1451a6a240006134e42a2aa2c4d7e679d3",
+            "trace_lower.csv": "7af67e8e7be8a2668f73a9a1d182c2e0093f5ac9f258f9e2adcdf2488340b484",
+            "trace_upper.csv": "19e76de4c11a8ab61d4991a3288e895223fa8407a0f99408a86b21171077cee6",
+            "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
+        },
+        "envelope": {
+            "stdout": "2a925780de93b449c3126a29bd1d6262270fa051ab0e0510837a184d5e40d283",
+            "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
+            "bode_lower.csv": "2933744d4c2fb0b4a2e609fe41429430a02b92328fb405bc075812df2fd894dd",
+            "bode_upper.csv": "824fcc5efd91358478a5b3a8b4817e8782e45b7c9f4211af85b3f20851ad1d46",
+            "envelope_lower.csv": "b3a07d2b37ae42a1eb12b99a667d934f32bf556ff9e2994c8bbdd348f6454071",
+            "envelope_upper.csv": "e67806dd7ce23eb641107c74f5adf697cde21489ae03c669d3503e9d8bbe92a7",
+            "fit_report_lower.csv": "f9b2f1bfe6ae5fe97874118ef8342a18e95cfd9a1d6ac1ebe7762e6190a44851",
+            "fit_report_upper.csv": "637eb3f3d0a5c2bd7c7a82b8ff78b3a4d404782d5ee6a0123e46ead6236fb75b",
+            "summary.txt": "2a925780de93b449c3126a29bd1d6262270fa051ab0e0510837a184d5e40d283",
+            "trace_lower.csv": "58e0d0938c650b0dd4c0a0398a40a443051cc33f37e9eb8d52ecbc9b56ea1091",
+            "trace_upper.csv": "76dd9e48ff669819150e16956654c5a057a7e1a771704f0f4d10d38f8234d298",
+            "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_output_hashes(self, capsys, tmp_path, example_wd_path, mode):
+        code = main(TestCli.BASE + ["--mode", mode, "--wd-table", str(example_wd_path),
+                                    "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        hashes["stdout"] = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert hashes == self.PINNED[mode]

@@ -103,6 +103,9 @@ class TestNewtonInverseInterp:
         t = np.arange(5.0)
         with pytest.raises(ValueError, match="six"):
             newton_inverse_interp(t, t, 2.0)
+        rows = np.arange(12.0).reshape(2, 6)
+        with pytest.raises(ValueError, match="six"):
+            newton_inverse_interp(rows, rows, 2.0)
 
     def test_equal_spacing_enforced(self):
         t = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.5])
@@ -150,8 +153,8 @@ class TestNewtonInverseInterp:
             times.append(tf)
             values.append(ff)
             targets.append(target)
-        rows = newton_inverse_interp(np.array(times), np.array(values), np.array(targets))
-        assert rows.shape == (len(times),)
+        rows, status = timing._invert_rows(np.array(times), np.array(values), np.array(targets))
+        assert rows.shape == status.shape == (len(times),)
         for k, (tf, ff, target) in enumerate(zip(times, values, targets)):
             ref = oracles.loop_newton_inverse(tf, ff, target)
             assert np.isnan(rows[k]) if ref is None else rows[k] == ref
@@ -161,6 +164,8 @@ class TestNewtonInverseInterp:
                 assert np.isnan(rows[k])
         assert np.isnan(rows[-len(failing):]).all()
         assert np.isfinite(rows[:-len(failing)]).all()
+        assert (status[:-len(failing)] == timing._OK).all()
+        assert (status[-len(failing):] != timing._OK).all()
 
 
 def newton_statuses(monkeypatch):
