@@ -20,7 +20,6 @@ slower than 128 (64 only slightly).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +137,15 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     prop = np.eye(m) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
     force = (h * (np.eye(m) + ha / 2 + ha @ ha / 6 + ha @ ha @ ha / 24)) @ b
 
-    n_steps = int(math.floor(t_end / h + 1e-9))
+    # a float until it has passed the budget: an infinite t_end has no int
+    n_steps = np.floor(t_end / h + 1e-9)
     n_values = (n_steps + 1) + (_BLOCK + 1) * (m + 1) ** 2
-    if n_values > _MAX_TRACE_VALUES:
+    if not n_values <= _MAX_TRACE_VALUES:
         raise NumericalError(
-            f"simulation needs {n_steps + 1} steps of {m} states, {n_values} values over "
-            f"the budget of {_MAX_TRACE_VALUES}: the time scales are too far apart "
+            f"simulation needs {n_steps + 1:.3g} steps of {m} states, {n_values:.3g} values "
+            f"over the budget of {_MAX_TRACE_VALUES}: the time scales are too far apart "
             f"or the order is too high")
+    n_steps = int(n_steps)
     # affine map as one matrix on [x, 1]; powers[j] holds [[P^j, S_j f], [0, 1]]
     step = np.eye(m + 1)
     step[:m, :m] = prop

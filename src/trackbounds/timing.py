@@ -17,10 +17,17 @@ around the bracket its row found at the level before, so each level costs
 the same per row at any depth; those points equal the ones np.linspace would
 place over the whole window. A single rise or settling time is a batch of
 one damping ratio.
+
+A sweep's unit-frequency rise times (t90 - t10) and settling times are kept
+in a bounded cache keyed by the exact damping grid and the band's dev. Rise
+and settling times scale exactly as 1/omega_n, so tr and ts only divide
+these times in the last step of omega_ns_for, and specs that differ only in
+tr and ts share one solve. The cache holds at most _UNIT_TIMES_CACHE grids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +64,12 @@ _RISE_WINDOW = 4.0
 # points of a level evaluated per row, centred on the previous level's
 # bracket: the six-sample window needs seven of them, the rest is margin
 _LOCAL_SAMPLES = 17
+# damping grids whose unit-frequency times are kept. The benchmark's sweep
+# cycles 30 grids (5 mp x 3 dev x 2 steps), and an LRU smaller than its cycle
+# misses every time; 128 leaves room for a designer's own grids. At the
+# largest sweep (family._MAX_WD_PAIRS = 1000 pairs) an entry holds an 8 KB
+# key and two 8 KB arrays, so a full cache holds about 3 MB
+_UNIT_TIMES_CACHE = 128
 # the factors u - (k - 1) and the k! of the Newton forward-difference basis, k = 1..5
 _SHIFTS = np.arange(5.0)[:, None]
 _FACTORIALS = np.array([1.0, 2.0, 6.0, 24.0, 120.0])[:, None, None]
@@ -307,7 +320,8 @@ def omega_ns_for(zetas, tr_spec: float, ts_spec: float, band: ToleranceBand) -> 
 
     Rise and settling times scale as 1/omega_n, so the binding requirement
     is whichever ratio of unit-frequency time to specified time is larger.
-    All three crossings of every damping ratio are solved as one batch.
+    All three crossings of every damping ratio are solved as one batch, once
+    per damping grid and band: the unit-frequency times are cached.
     """
     if not tr_spec > 0:
         raise ValueError("rise time specification must be positive")
@@ -315,9 +329,20 @@ def omega_ns_for(zetas, tr_spec: float, ts_spec: float, band: ToleranceBand) -> 
         raise ValueError("settling time specification must be positive")
     zetas = np.asarray(zetas, dtype=float).ravel()
     _check_damping(zetas)
-    rows = [np.concatenate(parts) for parts in zip(_rise_rows(zetas), _settling_rows(zetas, band))]
+    rise, settle = _unit_times(zetas.tobytes(), band.dev)
+    return np.maximum(rise / tr_spec, settle / ts_spec)
+
+
+@functools.lru_cache(maxsize=_UNIT_TIMES_CACHE)
+def _unit_times(zeta_bytes: bytes, dev: float):
+    """Read-only unit-frequency rise and settling times of a damping grid."""
+    zetas = np.frombuffer(zeta_bytes)
+    rows = [np.concatenate(parts)
+            for parts in zip(_rise_rows(zetas), _settling_rows(zetas, ToleranceBand(dev)))]
     t10, t90, settle = _crossings(*rows).reshape(3, -1)
-    return np.maximum((t90 - t10) / tr_spec, settle / ts_spec)
+    rise, settle = t90 - t10, settle.copy()
+    rise.flags.writeable = settle.flags.writeable = False
+    return rise, settle
 
 
 def omega_n_for(zeta: float, tr_spec: float, ts_spec: float, band: ToleranceBand) -> float:

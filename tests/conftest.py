@@ -5,9 +5,15 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from trackbounds import Spec, WdTable, read_wd_table
+from trackbounds import Spec, WdTable, read_wd_table, timing
 
 EXAMPLE_WD_PATH = os.path.join(os.path.dirname(__file__), "data", "example_wd_table.csv")
+
+
+@pytest.fixture(autouse=True)
+def fresh_unit_times():
+    """Empty the crossing-time cache, so a test that patches the solver runs it."""
+    timing._unit_times.cache_clear()
 
 
 @pytest.fixture(scope="session")

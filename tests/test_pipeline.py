@@ -334,6 +334,20 @@ class TestCli:
         assert err.startswith(f"trackbounds: numerical failure: {stage}: ")
         assert elapsed < 2.0
 
+    @pytest.mark.parametrize("ts", ["inf", "1e308", "1e200"])
+    def test_endless_settling_horizon_fails_in_round_trip(self, capsys, ts):
+        # 3 * ts overflows to inf, or needs about 4e201 steps: both are
+        # checked against the budget as floats, and the count prints short
+        args = ["--mp", "0.15", "--tr", "5", "--ts", ts, "--dev", "0.03", "--wi", "5"]
+        start = time.perf_counter()
+        code = main(args)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("trackbounds: numerical failure: round_trip: simulation needs ")
+        assert len(err) < 250
+        assert elapsed < 2.0
+
     def test_oversized_family_output_fails_naming_emit(self, capsys, tmp_path):
         # low mode evaluates the family at one frequency only; bode_family.csv
         # needs all of it, wi * pairs * points = 5e6 entries

@@ -188,6 +188,7 @@ class TestRefinedCrossing:
             return np.full(len(times), np.nan), np.full(len(times), timing._DIVERGED)
 
         pairs = len(build_wd(WORKED, zeta_step=0.01))
+        timing._unit_times.cache_clear()
         step = timing.closed_form_step
         widths = []
 
@@ -385,6 +386,60 @@ class TestOmegaNFor:
             omega_n_for(0.5, 0.0, 30.0, BAND)
         with pytest.raises(ValueError):
             omega_n_for(0.5, 5.0, -1.0, BAND)
+
+
+class TestUnitTimesCache:
+    def test_specs_differing_in_tr_ts_share_one_solve(self, monkeypatch):
+        solves = []
+        crossings = timing._crossings
+
+        def counted(*rows):
+            solves.append(len(rows[0]))
+            return crossings(*rows)
+
+        monkeypatch.setattr(timing, "_crossings", counted)
+        specs = [WORKED, Spec(mp=0.15, tr=2.0, ts=50.0, dev=0.03, wi=5),
+                 Spec(mp=0.15, tr=1e3, ts=7.0, dev=0.03, wi=5)]
+        hits = [build_wd(spec).omega_ns() for spec in specs]
+        assert len(solves) == 1
+        for spec, hit in zip(specs, hits):
+            timing._unit_times.cache_clear()
+            assert np.array_equal(build_wd(spec).omega_ns(), hit)
+        assert len(solves) == 1 + len(specs)
+
+    def test_key_is_the_damping_grid_and_dev(self):
+        zetas = [0.3, 0.5, 0.7]
+        omega_ns_for(zetas, 5.0, 30.0, BAND)
+        omega_ns_for(np.array(zetas), 2.0, 10.0, BAND)
+        info = timing._unit_times.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        omega_ns_for(zetas, 5.0, 30.0, ToleranceBand(0.05))
+        info = timing._unit_times.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    def test_callers_cannot_change_cached_times(self):
+        zetas = [0.3, 0.5, 0.7]
+        first = omega_ns_for(zetas, 5.0, 30.0, BAND)
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(omega_ns_for(zetas, 5.0, 30.0, BAND), expected)
+        rise, settle = timing._unit_times(np.array(zetas).tobytes(), BAND.dev)
+        assert not rise.flags.writeable and not settle.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            settle[0] = 0.0
+
+    def test_failed_solve_is_not_cached(self, monkeypatch):
+        def fail(times, values, target):
+            raise NumericalError("forced failure")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(timing, "_invert_rows", fail)
+            with pytest.raises(NumericalError, match="forced failure"):
+                build_wd(WORKED)
+        assert timing._unit_times.cache_info().currsize == 0
+        table = build_wd(WORKED)
+        assert np.array_equal(table.omega_ns(),
+                              omega_ns_for(table.zetas(), WORKED.tr, WORKED.ts, BAND))
 
 
 class TestExtractMetrics:
