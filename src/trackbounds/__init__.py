@@ -49,7 +49,6 @@ from .simulate import (
     FinalTD,
     StepTrace,
     round_trip,
-    settled_step_response,
     step_response,
 )
 from .sos_core import (
@@ -94,7 +93,7 @@ __all__ = [
     "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",
     "FitProblem", "FitReport", "fit", "cleanup", "gain_adjust", "report",
     "format_fit_report",
-    "StepTrace", "FinalTD", "step_response", "settled_step_response", "round_trip",
+    "StepTrace", "FinalTD", "step_response", "round_trip",
     "format_trace",
     "PipelineResult", "SummaryDoc", "run_pipeline", "emit",
     "format_summary", "parse_summary", "summary_skeleton",

@@ -105,6 +105,11 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     while (z := z_min + len(zetas) * zeta_step) < 1:
         zetas.append(z)
     omega_ns = omega_ns_for(zetas, spec.tr, spec.ts, ToleranceBand(spec.dev))
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.square([omega_ns, spec.wi * omega_ns])  # the members' coefficients
+    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
+        raise NumericalError(f"natural frequency squares from {float(squares.min())!r} "
+                             f"to {float(squares.max())!r} are not all finite normal floats")
     return WdTable(tuple(SecondOrderParams(wn, z) for wn, z in zip(omega_ns.tolist(), zetas)))
 
 

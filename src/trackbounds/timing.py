@@ -1,4 +1,5 @@
-"""Time-domain metrics: crossing solvers, rise and settling times.
+"""Time-domain metrics: crossing solvers, rise and settling times, and the
+metrics of a trace measured against the final value it is given.
 
 Crossings of the closed-form step response are solved by fifth-order Newton
 forward-difference inverse interpolation on six equally spaced samples: the
@@ -44,7 +45,6 @@ __all__ = [
     "unit_settling_time",
     "omega_n_for",
     "omega_ns_for",
-    "settled_final_value",
     "extract_metrics",
 ]
 
@@ -353,43 +353,21 @@ def omega_n_for(zeta: float, tr_spec: float, ts_spec: float, band: ToleranceBand
     return float(omega_ns_for([zeta], tr_spec, ts_spec, band)[0])
 
 
-def settled_final_value(values, band: ToleranceBand) -> float | None:
-    """Final value of a step trace, or None while the trace is unsettled.
+def extract_metrics(times, values, final: float, band: ToleranceBand) -> TimeDomainMetrics:
+    """Measure mp, tr and ts of a uniformly sampled trace against its final value.
 
-    The final value is the mean of the last 5% of samples; the trace is
-    settled when every sample in its final 10% lies inside the band around
-    it. A final value <= 0 cannot settle into a band and raises
-    NumericalError.
-    """
-    y = np.asarray(values, dtype=float)
-    n = y.size
-    final = float(np.mean(y[-max(1, round(0.05 * n)):]))
-    if not final > 0:
-        raise NumericalError(f"degenerate final value {final!r}: the response is not positive")
-    tail = y[-max(1, round(0.10 * n)):]
-    if np.any(np.abs(tail - final) > band.dev * final):
-        return None
-    return final
-
-
-def extract_metrics(times, values, band: ToleranceBand) -> TimeDomainMetrics:
-    """Measure mp, tr, ts and the final value of a uniformly sampled trace.
-
-    The trace must already be settled by the rule of settled_final_value.
-    Crossings are located by linear interpolation between samples.
+    The trace must end inside the band around the final value. Crossings
+    are located by linear interpolation between samples.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or t.size < 20:
         raise ValueError("trace must be two matching 1-D arrays with at least 20 samples")
-
-    try:
-        final = settled_final_value(y, band)
-    except NumericalError as exc:
-        raise ValueError(str(exc)) from None
-    if final is None:
-        raise ValueError("unsettled trace")
+    if not final > 0:
+        raise ValueError(f"degenerate final value {final!r}: the response is not positive")
     half_band = band.dev * final
+    if not abs(y[-1] - final) <= half_band:
+        raise ValueError("unsettled trace")
 
     mp = max(0.0, (float(np.max(y)) - final) / final)
 

@@ -14,13 +14,12 @@ import pytest
 import oracles
 from test_tf_model import random_stable_tf
 from trackbounds import (
+    BoundPair,
     FitProblem,
     SecondOrderParams,
     Spec,
-    ToleranceBand,
     build_wd,
     envelope_of,
-    extract_metrics,
     family_response,
     fit,
     freq_response,
@@ -28,8 +27,8 @@ from trackbounds import (
     make_tf,
     newton_inverse_interp,
     report,
+    round_trip,
     select_restricted,
-    settled_step_response,
     step_response,
     step_value,
     zeta_min,
@@ -66,11 +65,10 @@ class TestAcceptance:
     def test_criterion_03_round_trip_binding_property(self):
         start = time.perf_counter()
         table = build_wd(SPEC, 0.05)
-        band = ToleranceBand(SPEC.dev)
         worst_ratio_lo, worst_ratio_hi, worst_mp = 1.0, 1.0, 0.0
         for pair in table.pairs:
-            trace = settled_step_response(make_tf(pair), SPEC.ts, band)
-            m = extract_metrics(trace.times, trace.values, band)
+            tf = make_tf(pair)
+            m = round_trip(BoundPair(tf, tf), SPEC)[0].lower
             ratio = max(m.tr / SPEC.tr, m.ts / SPEC.ts)
             worst_ratio_lo = min(worst_ratio_lo, ratio)
             worst_ratio_hi = max(worst_ratio_hi, ratio)

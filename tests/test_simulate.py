@@ -7,12 +7,16 @@ import pytest
 from oracles import loop_step_response, oracle_modal_step
 from test_tf_model import random_stable_tf
 from trackbounds import (
+    BoundPair,
     FinalTD,
     NumericalError,
     RationalTF,
     SecondOrderParams,
+    Spec,
     StepTrace,
     ToleranceBand,
+    build_wd,
+    dc_gain,
     format_trace,
     make_grid,
     make_tf,
@@ -20,7 +24,6 @@ from trackbounds import (
     round_trip,
     run_pipeline,
     select_restricted,
-    settled_step_response,
     simulate,
     step_response,
     step_value,
@@ -228,26 +231,95 @@ class TestModalStepResponse:
 
 
 class TestSettledStepResponse:
+    """The trace round_trip simulates for a bound, with one horizon sized
+    from its poles, and its metrics against the exact DC gain."""
+
+    @staticmethod
+    def settle(tf, ts, dev):
+        final, traces = round_trip(BoundPair(tf, tf), Spec(mp=0.5, tr=ts, ts=ts, dev=dev, wi=1))
+        return final.lower, traces[0]
+
     def test_settled_immediately_for_fast_system(self):
-        trace = settled_step_response(make_tf(MEMBER1), 30.0, ToleranceBand(0.03))
+        m, trace = self.settle(make_tf(MEMBER1), 30.0, 0.03)
         assert trace.times[-1] == pytest.approx(90.0, rel=1e-9)
         assert abs(trace.values[-1] - 1.0) <= 1e-3
+        assert m.final_value == 1.0
 
     def test_slow_oscillator_extends_the_window(self):
-        # needs about seven seconds to ring down, so 1.2 s doubles three times
-        tf = make_tf(SecondOrderParams(10.0, 0.05))
-        trace = settled_step_response(tf, 0.4, ToleranceBand(0.03))
-        assert trace.times[-1] == pytest.approx(9.6, rel=1e-9)
+        # needs about seven seconds to ring down, past 3 * ts = 1.2 s: the
+        # modal horizon ln(1 / (dev * sqrt(1 - zeta**2))) / (zeta * omega_n)
+        params = SecondOrderParams(10.0, 0.05)
+        m, trace = self.settle(make_tf(params), 0.4, 0.03)
+        horizon = np.log(1.0 / (0.03 * np.sqrt(1.0 - 0.05**2))) / 0.5
+        assert horizon == pytest.approx(7.02, abs=5e-3)
+        assert trace.times[-1] == pytest.approx(horizon, rel=2e-4)
+        # the last band exit lies inside the trace, and none follows it
+        assert 1.2 < m.ts < trace.times[-1]
+        later = step_value(params, np.linspace(trace.times[-1], 4.0 * horizon, 20001))
+        assert np.all(np.abs(later - 1.0) <= 0.03)
 
-    def test_negative_final_value_raises_at_once(self):
-        tf = RationalTF([-1.0], [1.0, 1.0])
-        with pytest.raises(NumericalError, match="degenerate final value"):
-            settled_step_response(tf, 5.0, ToleranceBand(0.03))
+    def test_negative_final_value_raises_at_once(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a bound of negative DC gain")
 
-    def test_never_settling_trace_raises(self):
-        tf = make_tf(SecondOrderParams(1.0, 0.01))
-        with pytest.raises(NumericalError, match="extension budget"):
-            settled_step_response(tf, 0.001, ToleranceBand(0.0001))
+        monkeypatch.setattr(simulate, "step_response", never)
+        with pytest.raises(NumericalError, match="degenerate final value -1.0"):
+            self.settle(RationalTF([-1.0], [1.0, 1.0]), 5.0, 0.03)
+
+    def test_lightly_damped_trace_settles_within_its_horizon(self):
+        # rings down only after ln(1 / (dev * sqrt(1 - zeta**2))) / zeta = 921 s
+        m, trace = self.settle(make_tf(SecondOrderParams(1.0, 0.01)), 0.001, 0.0001)
+        assert trace.times[-1] == pytest.approx(921.03, rel=1e-4)
+        assert 900.0 < m.ts < trace.times[-1]
+        assert m.mp == pytest.approx(overshoot(0.01), rel=1e-4)
+
+    @pytest.mark.parametrize("a", [0.0, 100.0])
+    def test_repeated_pole_round_trips(self, a):
+        # (a s + 1) / (s + 1)**2 has no finite residue at its double pole;
+        # its step response is 1 - (1 + (1 - a) t) exp(-t)
+        m, trace = self.settle(RationalTF([a, 1.0], [1.0, 2.0, 1.0]), 1.0, 0.03)
+        assert 3.0 < trace.times[-1] < 30.0
+        t = np.linspace(0.0, trace.times[-1], 200001)
+        outside = np.abs((1.0 + (1.0 - a) * t) * np.exp(-t)) > 0.03
+        assert not outside[-1]
+        assert m.final_value == 1.0
+        assert m.ts == pytest.approx(t[outside][-1], abs=1e-3)
+
+
+class TestRoundTripContract:
+    @staticmethod
+    def seeded_specs(n=200, seed=2026):
+        # log-uniform draws: mp 1e-3 to 0.9, tr 0.01 to 100 s, ts 0.1 to 100
+        # times tr, dev 1e-3 to 0.5, and wi 1 to 29
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            tr = 10 ** rng.uniform(-2, 2)
+            yield Spec(mp=10 ** rng.uniform(-3, np.log10(0.9)), tr=tr,
+                       ts=tr * 10 ** rng.uniform(-1, 2),
+                       dev=10 ** rng.uniform(-3, np.log10(0.5)), wi=int(rng.integers(1, 30)))
+
+    def test_seeded_bounds_meet_the_spec_against_their_dc_gain(self):
+        # low and high mode pick whole family members, which meet the spec
+        # by construction; every bound of a run that succeeds, envelope fits
+        # at (0, 2) included, is measured against its exact DC gain
+        worst, envelope_bounds = 0.0, 0
+        for spec in self.seeded_specs():
+            table = build_wd(spec)
+            for mode in ("low", "high", "envelope"):
+                try:
+                    result = run_pipeline(spec, mode=mode, wd_table=table)
+                except NumericalError:
+                    assert mode == "envelope"
+                    continue
+                for tf, m in ((result.bounds.lower, result.final.lower),
+                              (result.bounds.upper, result.final.upper)):
+                    assert m.final_value == dc_gain(tf)
+                    if mode == "envelope":
+                        envelope_bounds += 1
+                    else:
+                        worst = max(worst, m.mp / spec.mp, m.tr / spec.tr, m.ts / spec.ts)
+        assert worst <= 1.001
+        assert envelope_bounds >= 200
 
 
 class TestFinalTD:

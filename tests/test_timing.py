@@ -13,6 +13,7 @@ from trackbounds import (
     ToleranceBand,
     TimeDomainMetrics,
     build_wd,
+    dc_gain,
     extract_metrics,
     make_tf,
     newton_inverse_interp,
@@ -445,7 +446,7 @@ class TestUnitTimesCache:
 class TestExtractMetrics:
     def test_constant_unit_trace(self):
         t = np.linspace(0.0, 10.0, 50)
-        m = extract_metrics(t, np.ones(50), BAND)
+        m = extract_metrics(t, np.ones(50), 1.0, BAND)
         assert m.mp == 0.0
         assert m.tr == 0.0
         assert m.ts == 0.0
@@ -453,7 +454,7 @@ class TestExtractMetrics:
 
     def test_plateaued_ramp_has_exact_zero_overshoot(self):
         t = np.linspace(0.0, 15.0, 600)
-        m = extract_metrics(t, np.clip(t / 5.0, 0.0, 1.0), BAND)
+        m = extract_metrics(t, np.clip(t / 5.0, 0.0, 1.0), 1.0, BAND)
         assert m.mp == 0.0
         assert abs(m.tr - 4.0) < 1e-9  # 10% to 90% of a ramp to 1 over 5 s
         assert abs(m.ts - 5.0 * (1.0 - BAND.dev)) < 0.05
@@ -461,9 +462,9 @@ class TestExtractMetrics:
 
     def test_exponential_trace_rise_time(self):
         t = np.linspace(0.0, 15.0, 600)
-        m = extract_metrics(t, 1.0 - np.exp(-t), BAND)
-        # strictly increasing trace: the peak exceeds the tail-mean final
-        # value by a sliver, so mp is tiny but not exactly zero
+        m = extract_metrics(t, 1.0 - np.exp(-t), 1.0, BAND)
+        # strictly increasing trace: the peak stays below the final value 1,
+        # so mp is zero
         assert m.mp < 1e-6
         # rise of 1 - e^{-t}: t10 = ln(10/9), t90 = ln(10)
         assert abs(m.tr - (np.log(10.0) - np.log(10.0 / 9.0))) < 2e-3
@@ -472,7 +473,7 @@ class TestExtractMetrics:
     def test_closed_form_member_trace(self):
         p = SecondOrderParams(0.3371943060017473, 0.5169126432375071)
         t = np.arange(0.0, 90.0, 0.01)
-        m = extract_metrics(t, step_value(p, t), BAND)
+        m = extract_metrics(t, step_value(p, t), 1.0, BAND)
         peak = oracles.step_scalar(p.zeta, np.pi / np.sqrt(1 - p.zeta**2))
         assert abs(m.mp - (peak - 1.0)) < 1e-3
         assert abs(m.tr - oracles.oracle_rise_time(p.zeta) / p.omega_n) < 1e-3
@@ -482,7 +483,7 @@ class TestExtractMetrics:
     def test_simulated_member_trace(self):
         tf = make_tf(SecondOrderParams(0.3371943060017473, 0.5169126432375071))
         trace = step_response(tf, 90.0)
-        m = extract_metrics(trace.times, trace.values, BAND)
+        m = extract_metrics(trace.times, trace.values, dc_gain(tf), BAND)
         assert abs(m.mp - 0.150) < 2e-3
         assert abs(m.tr - 5.00) < 0.05
 
@@ -490,17 +491,17 @@ class TestExtractMetrics:
         p = SecondOrderParams(1.0, 0.2)
         t = np.arange(0.0, 3.0, 0.01)
         with pytest.raises(ValueError, match="unsettled"):
-            extract_metrics(t, step_value(p, t), BAND)
+            extract_metrics(t, step_value(p, t), 1.0, BAND)
 
     def test_degenerate_final_rejected(self):
         t = np.linspace(0.0, 10.0, 50)
         with pytest.raises(ValueError, match="degenerate"):
-            extract_metrics(t, np.full(50, -0.5), BAND)
+            extract_metrics(t, np.full(50, -0.5), -0.5, BAND)
 
     def test_short_trace_rejected(self):
         t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="20 samples"):
-            extract_metrics(t, np.ones(10), BAND)
+            extract_metrics(t, np.ones(10), 1.0, BAND)
 
     def test_metrics_validation(self):
         with pytest.raises(ValueError):
