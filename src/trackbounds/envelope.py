@@ -10,7 +10,7 @@ of the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,15 +33,26 @@ _MAX_GRID_POINTS = 10**5
 
 @dataclass(frozen=True, eq=False)
 class BoundPair:
-    """Lower and upper bound transfer functions, both proper and stable."""
+    """Lower and upper bound transfer functions, both proper and stable.
+
+    poles holds each bound's poles, found once for the stability check and
+    held read-only, or None for a static bound, which has none.
+    """
 
     lower: RationalTF
     upper: RationalTF
+    poles: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        found = []
         for name, tf in (("lower", self.lower), ("upper", self.upper)):
-            if tf.den_degree >= 1 and np.max(roots(tf.den).real) >= 0:
-                raise ValueError(f"{name} bound must be strictly stable")
+            poles = roots(tf.den) if tf.den_degree >= 1 else None
+            if poles is not None:
+                if np.max(poles.real) >= 0:
+                    raise ValueError(f"{name} bound must be strictly stable")
+                poles.flags.writeable = False
+            found.append(poles)
+        object.__setattr__(self, "poles", tuple(found))
 
 
 def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:

@@ -229,6 +229,13 @@ class TestBoundPair:
         with pytest.raises(ValueError, match="stable"):
             BoundPair(stable, unstable)
 
+    def test_poles_are_kept_read_only(self):
+        tf = make_tf(SecondOrderParams(1.0, 0.5))
+        pair = BoundPair(RationalTF([2.0], [4.0]), tf)
+        assert pair.poles[0] is None
+        assert np.array_equal(pair.poles[1], np.roots(tf.den))
+        assert not pair.poles[1].flags.writeable
+
 
 class TestFormatEnvelope:
     def test_header_and_degrees(self):

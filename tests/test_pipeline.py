@@ -104,6 +104,23 @@ class TestRunPipeline:
         assert result_env.fit_reports[0].max_mag_error < 0.25
         assert result_env.fit_reports[1].max_mag_error < 0.35
 
+    @pytest.mark.parametrize("mode, calls", [("low", 2), ("high", 2), ("envelope", 4)])
+    def test_each_bound_finds_its_poles_once(self, monkeypatch, example_spec,
+                                             example_wd_table, mode, calls):
+        # one call per bound for its stability check, which the round trip
+        # reuses; envelope mode's cleanup adds one per fitted denominator
+        count = 0
+        np_roots = np.roots
+
+        def counting_roots(p):
+            nonlocal count
+            count += 1
+            return np_roots(p)
+
+        monkeypatch.setattr(np, "roots", counting_roots)
+        run_pipeline(example_spec, mode=mode, wd_table=example_wd_table)
+        assert count == calls
+
     def test_mode_validation(self, example_spec):
         with pytest.raises(ValueError, match="mode"):
             run_pipeline(example_spec, mode="mid")
@@ -405,27 +422,27 @@ class TestWorkedExampleBytes:
 
     PINNED = {
         "low": {
-            "stdout": "9138160a1d44521785da82886295c244690f89498e941e17fe8be055f4d0e37d",
+            "stdout": "704f913eee488c91db04e5da82fa91420f45993c2557f4f378bbf6148a7d0db2",
             "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
             "bode_lower.csv": "0859bb8f841135b44716f2b3cc6cfb9d55076c2a3fdd52b65418a21e511b3073",
             "bode_upper.csv": "92d46d8a51563096fc48ab0da4926498d4d9b1d9c62e88605bb4b41c591a3c39",
-            "summary.txt": "9138160a1d44521785da82886295c244690f89498e941e17fe8be055f4d0e37d",
-            "trace_lower.csv": "f05d0b8c39f66caec5fe1e9c74a15df2d8acf412b5e29fd0407cf6bffa435fed",
-            "trace_upper.csv": "5eee7a8f8861da7a7d1ec8becf4b72696f26903d1faf3d55ed1e7c5d080a43a8",
+            "summary.txt": "704f913eee488c91db04e5da82fa91420f45993c2557f4f378bbf6148a7d0db2",
+            "trace_lower.csv": "a41041998a0c5c16185de8fbc27237109d52aa96cef7f4ed371b155633c6de7c",
+            "trace_upper.csv": "b029076e8ac42a2132a68aa2aea9e976659edc26cf1191bd32c8dfbcf4f75d22",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "high": {
-            "stdout": "c42ee8b2fc17190677bf52ae360c6ca585b3c5678010f2db3a1686095ee67d27",
+            "stdout": "098dca5497650ca0205bcfcc35077f9a9c23c3dfb67c84ac72b68b0f2e1b3d7d",
             "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
             "bode_lower.csv": "21262a3251ac82504aa5973add4553007705b81fe56cf0c73fb5299a2d81fc8a",
             "bode_upper.csv": "e4a6d5e494d88ad73d962a59291f90634076ca216d3942461b81b219270d8348",
-            "summary.txt": "c42ee8b2fc17190677bf52ae360c6ca585b3c5678010f2db3a1686095ee67d27",
-            "trace_lower.csv": "7af67e8e7be8a2668f73a9a1d182c2e0093f5ac9f258f9e2adcdf2488340b484",
-            "trace_upper.csv": "19e76de4c11a8ab61d4991a3288e895223fa8407a0f99408a86b21171077cee6",
+            "summary.txt": "098dca5497650ca0205bcfcc35077f9a9c23c3dfb67c84ac72b68b0f2e1b3d7d",
+            "trace_lower.csv": "fbf852d69a7e89d2dca994626ab2a801db358d16c3fd8a52fbb766856bbf659e",
+            "trace_upper.csv": "e7990bb00915d321cfa35f87bb47abf9f3dbb3189b42cbe67da3557e9c91477c",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "envelope": {
-            "stdout": "54121e93349dc76ad6abf170bd1bae68c7e5fa8ac469d0c06818ffe3e3ba7fc2",
+            "stdout": "522610989a9b47e1ee3999c496c87ef1e6ffe01590f4861e2e551b1724084a69",
             "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
             "bode_lower.csv": "2933744d4c2fb0b4a2e609fe41429430a02b92328fb405bc075812df2fd894dd",
             "bode_upper.csv": "824fcc5efd91358478a5b3a8b4817e8782e45b7c9f4211af85b3f20851ad1d46",
@@ -433,9 +450,9 @@ class TestWorkedExampleBytes:
             "envelope_upper.csv": "e67806dd7ce23eb641107c74f5adf697cde21489ae03c669d3503e9d8bbe92a7",
             "fit_report_lower.csv": "f9b2f1bfe6ae5fe97874118ef8342a18e95cfd9a1d6ac1ebe7762e6190a44851",
             "fit_report_upper.csv": "637eb3f3d0a5c2bd7c7a82b8ff78b3a4d404782d5ee6a0123e46ead6236fb75b",
-            "summary.txt": "54121e93349dc76ad6abf170bd1bae68c7e5fa8ac469d0c06818ffe3e3ba7fc2",
-            "trace_lower.csv": "58e0d0938c650b0dd4c0a0398a40a443051cc33f37e9eb8d52ecbc9b56ea1091",
-            "trace_upper.csv": "76dd9e48ff669819150e16956654c5a057a7e1a771704f0f4d10d38f8234d298",
+            "summary.txt": "522610989a9b47e1ee3999c496c87ef1e6ffe01590f4861e2e551b1724084a69",
+            "trace_lower.csv": "e55ab38eb6f25efa00f859db315e6bb08f2638a79754fdf0cac3ee6cb33d478d",
+            "trace_upper.csv": "cd19d45303d8fb2fd446f80b8cffb6bfc209a7cd1064b922f1693082abb81e09",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
     }

@@ -187,6 +187,23 @@ class TestBlockPropagation:
         assert trace.values.size == samples
         self.assert_matches_loop(tf, trace)
 
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 64, 65, 313])
+    def test_block_counts_around_the_doubling_steps(self, blocks):
+        # the last block is partly filled, and the last doubling of the block
+        # starts is clipped unless the count is a power of two
+        tf = make_tf(MEMBER1)
+        samples = 128 * (blocks - 1) + 77
+        trace = step_response(tf, (samples - 1) * 0.25, step_size=0.25)
+        assert trace.values.size == samples
+        self.assert_matches_loop(tf, trace)
+
+    def test_long_lightly_damped_trace(self):
+        # 40,001 samples at the default step 0.05 / omega_n, still ringing
+        tf = make_tf(SecondOrderParams(10.0, 0.05))
+        trace = step_response(tf, 200.0)
+        assert trace.values.size == 40_001
+        self.assert_matches_loop(tf, trace)
+
     @pytest.mark.parametrize("tf", [
         RationalTF([1.0, 2.0], [1.0, 1.0]),
         RationalTF([2.0, 1.0], [1.0, 2.0, 3.0, 1.0]),
@@ -265,6 +282,14 @@ class TestSettledStepResponse:
         monkeypatch.setattr(simulate, "step_response", never)
         with pytest.raises(NumericalError, match="degenerate final value -1.0"):
             self.settle(RationalTF([-1.0], [1.0, 1.0]), 5.0, 0.03)
+
+    def test_static_bound_raises_at_once(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a static bound")
+
+        monkeypatch.setattr(simulate, "step_response", never)
+        with pytest.raises(ValueError, match="static"):
+            self.settle(RationalTF([2.0], [4.0]), 5.0, 0.03)
 
     def test_lightly_damped_trace_settles_within_its_horizon(self):
         # rings down only after ln(1 / (dev * sqrt(1 - zeta**2))) / zeta = 921 s
