@@ -30,8 +30,7 @@ print(f"family size: {spec.wi * len(table)} members over {len(grid)} grid points
 # ---------------------------------------------------------------------------
 # pointwise envelopes
 # ---------------------------------------------------------------------------
-lo_data = envelope_of(members, grid, "lower")
-hi_data = envelope_of(members, grid, "upper")
+lo_data, hi_data = envelope_of(members, grid)
 k = np.searchsorted(grid.omegas, 1.0)
 print(f"at omega = {grid.omegas[k]:.3f} rad/s the envelope magnitudes are "
       f"{lo_data.magnitude()[k]:.4f} (lower) and {hi_data.magnitude()[k]:.4f} (upper)")

@@ -10,14 +10,14 @@ of the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .family import WdTable, family_response
 from .sos_core import make_tf, scale_omega
-from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF, roots
+from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF
 
 __all__ = [
     "BoundPair",
@@ -33,26 +33,15 @@ _MAX_GRID_POINTS = 10**5
 
 @dataclass(frozen=True, eq=False)
 class BoundPair:
-    """Lower and upper bound transfer functions, both proper and stable.
-
-    poles holds each bound's poles, found once for the stability check and
-    held read-only, or None for a static bound, which has none.
-    """
+    """Lower and upper bound transfer functions, both proper and stable."""
 
     lower: RationalTF
     upper: RationalTF
-    poles: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        found = []
         for name, tf in (("lower", self.lower), ("upper", self.upper)):
-            poles = roots(tf.den) if tf.den_degree >= 1 else None
-            if poles is not None:
-                if np.max(poles.real) >= 0:
-                    raise ValueError(f"{name} bound must be strictly stable")
-                poles.flags.writeable = False
-            found.append(poles)
-        object.__setattr__(self, "poles", tuple(found))
+            if tf.poles.size and np.max(tf.poles.real) >= 0:
+                raise ValueError(f"{name} bound must be strictly stable")
 
 
 def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
@@ -68,27 +57,27 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
 
 
-def envelope_of(responses, grid: FrequencyGrid, side: str) -> FrequencyResponse:
-    """Pointwise envelope of complex member responses.
+def envelope_of(responses, grid: FrequencyGrid) -> tuple[FrequencyResponse, FrequencyResponse]:
+    """Pointwise lower and upper envelopes of complex member responses.
 
     responses holds one response per member along its last axis, sampled
-    on the grid, for instance the array family_response returns. side is
-    "lower" or "upper"; magnitude and unwrapped phase extremes are taken
-    independently per frequency over all members and recombined into
-    complex samples, the data a rational fit takes.
+    on the grid, for instance the array family_response returns.
+    Magnitude and unwrapped phase extremes are taken independently per
+    frequency over all members and recombined into complex samples, the
+    data a rational fit takes.
     """
-    if side not in ("lower", "upper"):
-        raise ValueError('side must be "lower" or "upper"')
     resp = np.asarray(responses, dtype=complex)
     if resp.ndim < 2 or resp.shape[-1] != len(grid):
         raise ValueError("responses must hold member rows sampled on the grid")
     resp = resp.reshape(-1, len(grid))
     if resp.shape[0] == 0:
         raise ValueError("at least one member is required")
-    pick = np.min if side == "lower" else np.max
-    mag_env = pick(np.abs(resp), axis=0)
-    phase_env = pick(np.unwrap(np.angle(resp), axis=-1), axis=0)
-    return FrequencyResponse(grid, mag_env * np.exp(1j * phase_env))
+    mag = np.abs(resp)
+    mags = mag.min(axis=0), mag.max(axis=0)
+    del mag  # one family-sized array at a time: freed before the phases
+    phase = np.unwrap(np.angle(resp), axis=-1)
+    phases = phase.min(axis=0), phase.max(axis=0)
+    return tuple(FrequencyResponse(grid, m * np.exp(1j * p)) for m, p in zip(mags, phases))
 
 
 def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) -> BoundPair:

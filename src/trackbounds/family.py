@@ -139,11 +139,14 @@ def format_wd_table(table: WdTable) -> str:
 
 
 def parse_wd_table(text: str) -> WdTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _WD_HEADER:
-        raise ValueError(f"line 1: expected header {_WD_HEADER!r}")
+    # numbered as in the text, blank lines included; an empty text reads
+    # as a blank line 1
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()] or [(1, "")]
+    if lines[0][1].strip() != _WD_HEADER:
+        raise ValueError(f"line {lines[0][0]}: expected header {_WD_HEADER!r}")
     pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two comma-separated fields")

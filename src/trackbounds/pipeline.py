@@ -89,11 +89,9 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
             bounds = select_restricted(table, spec.wi, grid, mode)
     else:
         with _stage("envelope"):
-            responses = family_response(table, spec.wi, grid.omegas)
-            lo_data = envelope_of(responses, grid, "lower")
-            hi_data = envelope_of(responses, grid, "upper")
+            envelopes = envelope_of(family_response(table, spec.wi, grid.omegas), grid)
         fitted = []
-        for side, data in (("lower", lo_data), ("upper", hi_data)):
+        for side, data in zip(("lower", "upper"), envelopes):
             with _stage("fit"):
                 raw = fit(FitProblem(data, zeros, poles))
             with _stage("cleanup"):
@@ -110,7 +108,7 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
             fitted.append(tf)
         with _stage("fit"):
             bounds = BoundPair(fitted[0], fitted[1])
-            fit_reports = (report(fitted[0], lo_data), report(fitted[1], hi_data))
+            fit_reports = tuple(map(report, fitted, envelopes))
 
     with _stage("round_trip"):
         final, traces = round_trip(bounds, spec)

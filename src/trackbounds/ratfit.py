@@ -145,7 +145,7 @@ def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = No
     if ref_omega is not None and not ref_omega > 0:
         raise ValueError("reference frequency must be positive")
 
-    den_roots = roots(tf.den) if tf.den_degree >= 1 else np.array([])
+    den_roots = tf.poles
     num_roots = roots(tf.num) if tf.num_degree >= 1 else np.array([])
     scale = float(np.max(np.abs(den_roots))) if den_roots.size else (
         float(np.max(np.abs(num_roots))) if num_roots.size else 0.0)

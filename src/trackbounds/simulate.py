@@ -32,7 +32,7 @@ import numpy as np
 from .envelope import BoundPair
 from .errors import NumericalError
 from .family import Spec
-from .tf_model import RationalTF, dc_gain, roots
+from .tf_model import RationalTF, dc_gain
 from .timing import TimeDomainMetrics, ToleranceBand, extract_metrics
 
 __all__ = [
@@ -111,24 +111,20 @@ def _canonical(tf: RationalTF):
     return a, b, c, float(direct)
 
 
-def step_response(tf: RationalTF, t_end: float, step_size: float | None = None, *,
-                  poles: np.ndarray | None = None) -> StepTrace:
+def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) -> StepTrace:
     """Simulate the unit step response on [0, t_end].
 
     When step_size is omitted it defaults to min(0.05/|fastest pole|,
     t_end/1e4). An explicit step_size larger than 0.1/|fastest pole|
-    violates the accuracy contract and is rejected. A caller that has
-    already found tf's poles, strictly stable, may pass them.
+    violates the accuracy contract and is rejected.
     """
     if not t_end > 0:
         raise ValueError("end time must be positive")
-    if poles is None:
-        if tf.den_degree < 1:
-            raise ValueError("static function has no step dynamics to simulate")
-        poles = roots(tf.den)
-        if np.max(poles.real) >= 0:
-            raise NumericalError("cannot simulate to steady state: system is not strictly stable")
-    fastest = float(np.max(np.abs(poles)))
+    if tf.den_degree < 1:
+        raise ValueError("static function has no step dynamics to simulate")
+    if np.max(tf.poles.real) >= 0:
+        raise NumericalError("cannot simulate to steady state: system is not strictly stable")
+    fastest = float(np.max(np.abs(tf.poles)))
 
     if step_size is None:
         h = min(0.05 / fastest, t_end / _MIN_STEPS)
@@ -190,10 +186,8 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None, 
     return StepTrace(times, values, h)
 
 
-def _settle(tf: RationalTF, poles: np.ndarray | None,
-            spec: Spec) -> tuple[TimeDomainMetrics, StepTrace]:
-    """Simulate one bound of a BoundPair, strictly stable, to its horizon;
-    poles are those the BoundPair found for it, None for a static bound.
+def _settle(tf: RationalTF, spec: Spec) -> tuple[TimeDomainMetrics, StepTrace]:
+    """Simulate one bound of a BoundPair, strictly stable, to its horizon.
 
     The horizon is the later of 3*ts and the modal time: y(t) = dc + sum_i
     c_i exp(p_i t), c_i = N(p_i) / (p_i D'(p_i)), is within eps * dc of dc
@@ -203,8 +197,9 @@ def _settle(tf: RationalTF, poles: np.ndarray | None,
     Poles that coincide exactly have no finite residue: they count as split
     by 1e-6 |p_i|, whose large residues bound the factors t**k of their mode.
     """
-    if poles is None:
+    if tf.den_degree < 1:
         raise ValueError("static function has no step dynamics to simulate")
+    poles = tf.poles
     dc = dc_gain(tf)
     if not dc > 0:
         raise NumericalError(f"degenerate final value {dc!r}: the DC gain is not positive")
@@ -215,12 +210,11 @@ def _settle(tf: RationalTF, poles: np.ndarray | None,
     amplitude = np.sum(np.abs(np.polyval(tf.num, poles) / (tf.den[0] * poles)) / gaps.prod(axis=1))
     modal = math.log(max(amplitude / (min(spec.dev, 0.1) * dc), 1.0)) / -np.max(poles.real)
     t_end = max(3.0 * spec.ts, float(modal) / (1.0 - 1.0 / _MIN_STEPS))
-    trace = step_response(tf, t_end, poles=poles)
+    trace = step_response(tf, t_end)
     return extract_metrics(trace.times, trace.values, dc, ToleranceBand(spec.dev)), trace
 
 
 def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace, StepTrace]]:
     """Simulate both bounds once and measure them against their DC gains."""
-    lower, upper = (_settle(tf, poles, spec)
-                    for tf, poles in zip((bounds.lower, bounds.upper), bounds.poles))
+    lower, upper = (_settle(tf, spec) for tf in (bounds.lower, bounds.upper))
     return FinalTD(lower=lower[0], upper=upper[0]), (lower[1], upper[1])

@@ -9,6 +9,7 @@ lowest frequency; degrees appear only at file-format boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,11 @@ def _as_coeffs(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RationalTF:
-    """Proper rational function num(s)/den(s), highest power first."""
+    """Proper rational function num(s)/den(s), highest power first.
+
+    num and den are held read-only, so the poles, found on first use and
+    kept, always match den.
+    """
 
     num: np.ndarray
     den: np.ndarray
@@ -51,8 +56,16 @@ class RationalTF:
             raise ValueError("den must have a non-zero leading coefficient")
         if num.size > den.size:
             raise ValueError("improper function: numerator degree exceeds denominator degree")
+        num.flags.writeable = den.flags.writeable = False
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Roots of den, read-only; empty for a static function."""
+        poles = np.roots(self.den)
+        poles.flags.writeable = False
+        return poles
 
     @property
     def num_degree(self) -> int:

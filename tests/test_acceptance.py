@@ -104,8 +104,7 @@ class TestAcceptance:
         start = time.perf_counter()
         grid = make_grid(0.01, 100.0, 200)
         members = family_response(example_wd_table, SPEC.wi, grid.omegas)
-        lo_data = envelope_of(members, grid, "lower")
-        hi_data = envelope_of(members, grid, "upper")
+        lo_data, hi_data = envelope_of(members, grid)
 
         lo_fit = fit(FitProblem(lo_data, 0, 2))
         assert np.allclose(lo_fit.num, [0.1168], rtol=0.10)

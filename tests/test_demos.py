@@ -1,5 +1,6 @@
-"""Smoke test: every narrative demo runs to completion against the package."""
+"""Every narrative demo runs to completion and prints the pinned bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# SHA-256 of each demo's stdout; demo 06's up to the line that names its
+# temporary directory, whose path differs from run to run
+STDOUT_SHA256 = {
+    "01_second_order_basics": "6ab206529a5205e7e06b1d696817db13b77ee4ec68bc31d92ecf5b3f57973568",
+    "02_timing_inverse_interpolation":
+        "50ed1e663a890c33c4220ff7387e66eb3be6114dfd2cababdb5e00efd9d6565c",
+    "03_wd_sweep_and_families": "2e115b2e5611e2640c8e5c09eccd76150417a090ce3449eaa345fabc7bc3be5b",
+    "04_restriction_modes": "946f60a9a2954291c2929eb1a1265112ac57798bab669c410d38482cc4d8cc16",
+    "05_envelope_rational_fit": "336af8a90b4111e94f9430e7e6d1649ea0d5a805427902285afbd16ebca43640",
+    "06_full_pipeline": "43b3e17567cf859f9228b79e83bd9986cf2d296d58859bcc7577f088d8b81b06",
+}
 
 
 def test_all_demos_found():
@@ -23,3 +36,5 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.glob("trackbounds_demo_*")) == []
+    stdout = proc.stdout.partition("\nartifacts written to ")[0]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem]

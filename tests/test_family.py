@@ -227,6 +227,13 @@ class TestWdTableIO:
         with pytest.raises(ValueError, match="line 3"):
             parse_wd_table(text)
 
+    def test_blank_lines_keep_line_numbers(self):
+        # blank lines are skipped but still counted
+        with pytest.raises(ValueError, match="line 4: fields must be numeric"):
+            parse_wd_table("zeta,omega_n\n\n\n0.5,abc\n")
+        with pytest.raises(ValueError, match="line 3: expected header"):
+            parse_wd_table("\n\n0.5,1.0\n")
+
     def test_out_of_range_zeta_reports_line_number(self):
         text = "zeta,omega_n\n0.5,1.0\n1.5,2.0\n"
         with pytest.raises(ValueError, match="line 3"):

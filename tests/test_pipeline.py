@@ -104,11 +104,11 @@ class TestRunPipeline:
         assert result_env.fit_reports[0].max_mag_error < 0.25
         assert result_env.fit_reports[1].max_mag_error < 0.35
 
-    @pytest.mark.parametrize("mode, calls", [("low", 2), ("high", 2), ("envelope", 4)])
+    @pytest.mark.parametrize("mode, calls", [("low", 2), ("high", 2), ("envelope", 2)])
     def test_each_bound_finds_its_poles_once(self, monkeypatch, example_spec,
                                              example_wd_table, mode, calls):
-        # one call per bound for its stability check, which the round trip
-        # reuses; envelope mode's cleanup adds one per fitted denominator
+        # one call per bound: its transfer function keeps its poles for the
+        # stability check, the round trip and, in envelope mode, the cleanup
         count = 0
         np_roots = np.roots
 

@@ -31,9 +31,7 @@ from test_tf_model import random_stable_tf
 def family_envelopes(example_wd_table):
     grid = make_grid(0.01, 100.0, 200)
     members = family_response(example_wd_table, 5, grid.omegas)
-    lower = envelope_of(members, grid, "lower")
-    upper = envelope_of(members, grid, "upper")
-    return lower, upper
+    return envelope_of(members, grid)
 
 
 def normalized(coeffs):

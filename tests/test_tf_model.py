@@ -97,6 +97,46 @@ class TestRationalTF:
         with pytest.raises(ValueError):
             RationalTF(np.array([1.0]), np.array([1.0, np.inf]))
 
+    def test_poles_are_the_roots_of_den(self):
+        tf = RationalTF([2.0, 1.0], [1.0, 0.3486, 0.1137])
+        assert np.array_equal(tf.poles, np.roots(tf.den))
+
+    def test_poles_are_read_only(self):
+        tf = RationalTF([1.0], [1.0, 3.0, 2.0])
+        with pytest.raises(ValueError):
+            tf.poles[0] = 0.0
+
+    def test_poles_are_found_once(self, monkeypatch):
+        count = 0
+        np_roots = np.roots
+
+        def counting_roots(p):
+            nonlocal count
+            count += 1
+            return np_roots(p)
+
+        monkeypatch.setattr(np, "roots", counting_roots)
+        tf = RationalTF([1.0], [1.0, 3.0, 2.0])
+        assert tf.poles is tf.poles
+        assert count == 1
+
+    def test_static_function_has_no_poles(self):
+        tf = RationalTF([2.0], [4.0])
+        assert tf.poles.size == 0
+        assert not tf.poles.flags.writeable
+
+    def test_coefficients_are_read_only(self):
+        # the poles are cached, so num and den must not change under them
+        num, den = np.array([2.0]), np.array([1.0, 1.0])
+        tf = RationalTF(num, den)
+        with pytest.raises(ValueError):
+            tf.num[0] = 3.0
+        with pytest.raises(ValueError):
+            tf.den[-1] = -1.0
+        num[0] = den[-1] = 5.0  # the caller's arrays were copied
+        assert tf.num.tolist() == [2.0]
+        assert tf.den.tolist() == [1.0, 1.0]
+
 
 class TestFrequencyGrid:
     def test_requires_increasing(self):
