@@ -1,10 +1,11 @@
 """Frequency-domain envelopes and endpoint-restricted bound selection.
 
 The lower (upper) envelope of a curve family takes the pointwise minimum
-(maximum) of magnitude and of unwrapped phase independently, so it is a
-conservative hull rather than the response of any single member. The
-restricted modes instead pick whole members by their magnitude at one end
-of the grid.
+(maximum) of magnitude and of phase independently, so it is a
+conservative hull rather than the response of any single member; both
+follow from the members' closed forms, without their complex responses.
+The restricted modes instead pick whole members by their magnitude at one
+end of the grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .family import WdTable, family_response
+from .family import WdTable, family_response, member_omega_ns
 from .sos_core import make_tf, scale_omega
 from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF
 
@@ -57,26 +58,32 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
 
 
-def envelope_of(responses, grid: FrequencyGrid) -> tuple[FrequencyResponse, FrequencyResponse]:
-    """Pointwise lower and upper envelopes of complex member responses.
+def envelope_of(table: WdTable, wi: int,
+                grid: FrequencyGrid) -> tuple[FrequencyResponse, FrequencyResponse]:
+    """Pointwise lower and upper envelopes of the family's responses on the grid.
 
-    responses holds one response per member along its last axis, sampled
-    on the grid, for instance the array family_response returns.
-    Magnitude and unwrapped phase extremes are taken independently per
-    frequency over all members and recombined into complex samples, the
-    data a rational fit takes.
+    Member (k, i) at omega is 1/(x + jy) with v = omega / (i * omega_n[k]),
+    x = 1 - v^2 and y = 2 * zeta[k] * v > 0. Its magnitude 1/sqrt(x^2 + y^2)
+    falls as x^2 + y^2 rises, and its phase -atan2(1, x/y) lies in (-pi, 0)
+    and rises with x/y, so the extremes of those two quantities over the
+    members give the magnitude and phase extremes per frequency, which are
+    recombined into complex samples, the data a rational fit takes.
     """
-    resp = np.asarray(responses, dtype=complex)
-    if resp.ndim < 2 or resp.shape[-1] != len(grid):
-        raise ValueError("responses must hold member rows sampled on the grid")
-    resp = resp.reshape(-1, len(grid))
-    if resp.shape[0] == 0:
-        raise ValueError("at least one member is required")
-    mag = np.abs(resp)
-    mags = mag.min(axis=0), mag.max(axis=0)
-    del mag  # one family-sized array at a time: freed before the phases
-    phase = np.unwrap(np.angle(resp), axis=-1)
-    phases = phase.min(axis=0), phase.max(axis=0)
+    points = len(grid)
+    wn = member_omega_ns(table, wi, points)
+    # at most three family-sized float arrays; a member whose terms overflow
+    # or underflow shows in the magnitude check below
+    with np.errstate(all="ignore"):
+        x = grid.omegas / wn
+        y = x * (2 * table.zetas()[:, None])
+        np.subtract(1.0, np.square(x, out=x), out=x)
+        ratio = (x / y).reshape(-1, points)
+        dist = np.add(np.square(x, out=x), np.square(y, out=y), out=x).reshape(-1, points)
+        mags = 1.0 / np.sqrt([dist.max(axis=0), dist.min(axis=0)])
+        phases = -np.arctan2(1.0, [ratio.min(axis=0), ratio.max(axis=0)])
+    if not np.all(np.isfinite(mags) & (mags >= np.finfo(float).tiny)):
+        raise NumericalError(f"envelope magnitudes from {float(mags.min())!r} to "
+                             f"{float(mags.max())!r} are not all finite positive normal floats")
     return tuple(FrequencyResponse(grid, m * np.exp(1j * p)) for m, p in zip(mags, phases))
 
 

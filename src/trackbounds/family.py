@@ -32,7 +32,8 @@ _WD_HEADER = "zeta,omega_n"
 # largest damping sweep; its run time and the crossing solver's arrays grow
 # with the pairs, three crossings each
 _MAX_WD_PAIRS = 1000
-# largest family response, wi * pairs * points complex entries (64 MiB)
+# largest family, wi * pairs * points entries: 64 MiB as complex responses,
+# 96 MiB as the envelope's three float arrays
 _MAX_FAMILY_ENTRIES = 2**22
 
 
@@ -113,6 +114,20 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     return WdTable(tuple(SecondOrderParams(wn, z) for wn, z in zip(omega_ns.tolist(), zetas)))
 
 
+def member_omega_ns(table: WdTable, wi: int, points: int) -> np.ndarray:
+    """Natural frequencies i * omega_n of pair k for i = 1..wi, shape (wi, pairs, 1).
+
+    Checks wi, and the budget of wi * pairs * points family entries, before
+    any family-sized array is made.
+    """
+    if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
+        raise ValueError("frequency multiplier count must be an integer >= 1")
+    entries = int(wi) * len(table) * int(points)
+    if entries > _MAX_FAMILY_ENTRIES:
+        raise NumericalError(f"{entries} family entries exceed the budget of {_MAX_FAMILY_ENTRIES}")
+    return table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
+
+
 def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:
     """Complex responses H[i-1, k, j] of pair k scaled by i = 1..wi at omegas[j].
 
@@ -120,12 +135,7 @@ def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:
     broadcasting, in the operation order of eval_poly's Horner rule, so
     every entry equals freq_response of make_tf(scale_omega(pair, i)).
     """
-    if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
-        raise ValueError("frequency multiplier count must be an integer >= 1")
-    entries = int(wi) * len(table) * len(omegas)
-    if entries > _MAX_FAMILY_ENTRIES:
-        raise NumericalError(f"{entries} family entries exceed the budget of {_MAX_FAMILY_ENTRIES}")
-    wn = table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
+    wn = member_omega_ns(table, wi, len(omegas))
     z = table.zetas()[None, :, None]
     s = 1j * np.asarray(omegas, dtype=float)
     wn2 = wn * wn

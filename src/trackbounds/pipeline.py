@@ -89,7 +89,7 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
             bounds = select_restricted(table, spec.wi, grid, mode)
     else:
         with _stage("envelope"):
-            envelopes = envelope_of(family_response(table, spec.wi, grid.omegas), grid)
+            envelopes = envelope_of(table, spec.wi, grid)
         fitted = []
         for side, data in zip(("lower", "upper"), envelopes):
             with _stage("fit"):

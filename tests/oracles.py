@@ -10,7 +10,9 @@ loop the package's block propagation must reproduce, and the crossing
 references solve one crossing at a time on the whole sampled window, the
 plain loops the package's batched crossing solver must reproduce; the modal step
 response is exact. The family members are built one transfer function at
-a time, the form the package's broadcast family response must reproduce.
+a time, the form the package's broadcast family response must reproduce,
+and the envelope reference is the general complex hull over the family's
+responses, which the package's closed-form envelopes must reproduce.
 """
 
 import math
@@ -218,3 +220,18 @@ def family_tfs(table, i):
     from trackbounds import make_tf, scale_omega
 
     return [make_tf(scale_omega(p, i)) for p in table.pairs]
+
+
+def complex_hull(responses, grid):
+    """Pointwise min and max of magnitude and of unwrapped phase over member rows.
+
+    responses holds one complex response per member along its last axis;
+    returns (lower, upper) as complex samples on the grid.
+    """
+    from trackbounds import FrequencyResponse
+
+    resp = np.asarray(responses, dtype=complex).reshape(-1, len(grid))
+    mag = np.abs(resp)
+    phase = np.unwrap(np.angle(resp), axis=-1)
+    return (FrequencyResponse(grid, mag.min(axis=0) * np.exp(1j * phase.min(axis=0))),
+            FrequencyResponse(grid, mag.max(axis=0) * np.exp(1j * phase.max(axis=0))))

@@ -20,7 +20,6 @@ from trackbounds import (
     Spec,
     build_wd,
     envelope_of,
-    family_response,
     fit,
     freq_response,
     make_grid,
@@ -103,8 +102,7 @@ class TestAcceptance:
     def test_criterion_06_envelope_fits(self, example_wd_table):
         start = time.perf_counter()
         grid = make_grid(0.01, 100.0, 200)
-        members = family_response(example_wd_table, SPEC.wi, grid.omegas)
-        lo_data, hi_data = envelope_of(members, grid)
+        lo_data, hi_data = envelope_of(example_wd_table, SPEC.wi, grid)
 
         lo_fit = fit(FitProblem(lo_data, 0, 2))
         assert np.allclose(lo_fit.num, [0.1168], rtol=0.10)

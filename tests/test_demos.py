@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "03_wd_sweep_and_families": "2e115b2e5611e2640c8e5c09eccd76150417a090ce3449eaa345fabc7bc3be5b",
     "04_restriction_modes": "946f60a9a2954291c2929eb1a1265112ac57798bab669c410d38482cc4d8cc16",
     "05_envelope_rational_fit": "336af8a90b4111e94f9430e7e6d1649ea0d5a805427902285afbd16ebca43640",
-    "06_full_pipeline": "43b3e17567cf859f9228b79e83bd9986cf2d296d58859bcc7577f088d8b81b06",
+    "06_full_pipeline": "ce7319b219c8d743dca8fc36d9289e16413a2c138d6948183a21c97894754d22",
 }
 
 

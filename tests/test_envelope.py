@@ -1,11 +1,14 @@
 """Tests for envelope extraction and the endpoint restriction criteria."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import family_tfs
+from oracles import complex_hull, family_tfs
 from trackbounds import (
     BoundPair,
     FrequencyResponse,
+    NumericalError,
     RationalTF,
     SecondOrderParams,
     Spec,
@@ -17,6 +20,7 @@ from trackbounds import (
     freq_response,
     make_grid,
     make_tf,
+    scale_omega,
     select_restricted,
 )
 
@@ -41,33 +45,35 @@ class TestMakeGrid:
             make_grid(0.1, 10.0, 1)
 
 
-def responses(tfs, grid):
-    return np.array([freq_response(tf, grid).values for tf in tfs])
+def assert_envelope_equals(env, ref):
+    """Same magnitudes to rtol 1e-14 and phases to 1e-14 rad."""
+    np.testing.assert_allclose(env.magnitude(), ref.magnitude(), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(env.phase(), ref.phase(), rtol=0, atol=1e-14)
 
 
 class TestEnvelopeOf:
     def test_single_tf_identity(self):
-        tf = make_tf(SecondOrderParams(1.0, 0.5))
+        # a one-pair table at wi = 1 has one member, both of its envelopes
+        pair = SecondOrderParams(1.0, 0.5)
         grid = make_grid(0.01, 100.0, 50)
-        resp = freq_response(tf, grid)
-        for env in envelope_of(responses([tf], grid), grid):
-            assert np.allclose(env.magnitude(), resp.magnitude(), rtol=1e-14)
-            assert np.allclose(env.phase(), resp.phase(), rtol=1e-14)
+        ref = freq_response(make_tf(pair), grid)
+        for env in envelope_of(WdTable((pair,)), 1, grid):
+            assert_envelope_equals(env, ref)
 
     def test_dominated_member_is_the_lower_envelope(self):
-        half = RationalTF([0.5], [1.0, 1.0])
-        one = RationalTF([1.0], [1.0, 1.0])
+        # at zeta >= 1/sqrt(2) magnitude and phase both fall with omega/omega_n,
+        # so the i = 1 member is below and the i = wi member above everywhere
+        pair = SecondOrderParams(1.3, 0.8)
         grid = make_grid(0.01, 100.0, 40)
-        env, _ = envelope_of(responses([half, one], grid), grid)
-        assert np.allclose(env.magnitude(), freq_response(half, grid).magnitude(),
-                           rtol=1e-14)
+        lo, hi = envelope_of(WdTable((pair,)), 3, grid)
+        assert_envelope_equals(lo, freq_response(make_tf(pair), grid))
+        assert_envelope_equals(hi, freq_response(make_tf(scale_omega(pair, 3)), grid))
 
     def test_envelopes_bound_every_member(self, example_wd_table):
         grid = make_grid(0.01, 100.0, 101)
         members = [tf for i in range(1, 6)
                    for tf in family_tfs(example_wd_table, i)]
-        family = family_response(example_wd_table, 5, grid.omegas)
-        lo, hi = envelope_of(family, grid)
+        lo, hi = envelope_of(example_wd_table, 5, grid)
         for tf in members:
             resp = freq_response(tf, grid)
             assert np.all(lo.magnitude() <= resp.magnitude() + 1e-15)
@@ -75,21 +81,67 @@ class TestEnvelopeOf:
             assert np.all(lo.phase() <= resp.phase() + 1e-12)
             assert np.all(hi.phase() >= resp.phase() - 1e-12)
 
-    def test_side_validation(self):
-        tf = make_tf(SecondOrderParams(1.0, 0.5))
+    @pytest.mark.parametrize("mp, zeta_step, wi, w_min, w_max, points", [
+        (None, None, 5, 0.01, 100.0, 200),  # the worked example
+        (0.25, 0.01, 10, 0.01, 100.0, 200),  # 60 pairs
+        (None, None, 50, 0.01, 100.0, 1500),
+        (None, None, 5, 1e-4, 1e4, 400),
+    ], ids=["example", "step-0.01-wi-10", "wi-50-points-1500", "wide-grid"])
+    def test_matches_the_complex_hull(self, example_wd_table, mp, zeta_step, wi,
+                                      w_min, w_max, points):
+        table = (example_wd_table if mp is None
+                 else build_wd(Spec(mp=mp, tr=5.0, ts=30.0, dev=0.03, wi=wi), zeta_step))
+        grid = make_grid(w_min, w_max, points)
+        if mp is not None:
+            assert len(table) == 60
+        hull = complex_hull(family_response(table, wi, grid.omegas), grid)
+        for env, ref in zip(envelope_of(table, wi, grid), hull):
+            assert_envelope_equals(env, ref)
+
+    def test_peak_memory_is_three_float_arrays(self, example_wd_table):
+        # wi * pairs * points = 750,000 entries; the complex hull peaked at
+        # 64 B per entry
+        grid = make_grid(0.01, 100.0, 1500)
+        envelope_of(example_wd_table, 50, grid)
+        tracemalloc.start()
+        try:
+            envelope_of(example_wd_table, 50, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 50 * len(example_wd_table) * len(grid) + 2**20
+
+    def test_side_validation(self, example_wd_table):
         grid = make_grid(0.1, 10.0, 10)
-        with pytest.raises(ValueError):
-            envelope_of(np.empty((0, len(grid))), grid)
-        with pytest.raises(ValueError):
-            envelope_of(responses([tf], make_grid(0.1, 10.0, 11)), grid)
+        for wi in (0, True, 2.5):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                envelope_of(example_wd_table, wi, grid)
+
+    def test_budget_is_checked_before_any_allocation(self, example_wd_table):
+        grid = make_grid(0.1, 10.0, 200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="family entries exceed the budget"):
+                envelope_of(example_wd_table, 100_000, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_overflowing_member_raises(self, example_wd_table):
+        # (omega / omega_n)**2 overflows at the top of the grid: the lower
+        # magnitude envelope would read 0 there
+        grid = make_grid(0.01, 1e160, 200)
+        with pytest.raises(NumericalError, match="not all finite positive normal floats"):
+            envelope_of(example_wd_table, 5, grid)
 
 
 class TestComplexEnvelope:
     def test_round_trip_through_single_tf(self):
-        tf = make_tf(SecondOrderParams(0.7, 0.6))
+        pair = SecondOrderParams(0.7, 0.6)
         grid = make_grid(0.01, 100.0, 64)
-        _, env = envelope_of(responses([tf], grid), grid)
-        ref = freq_response(tf, grid)
+        _, env = envelope_of(WdTable((pair,)), 1, grid)
+        ref = freq_response(make_tf(pair), grid)
         assert np.allclose(env.values, ref.values, rtol=1e-12)
 
 

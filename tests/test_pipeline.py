@@ -19,6 +19,7 @@ from trackbounds import (
     scale_omega,
     summary_skeleton,
 )
+from trackbounds import pipeline
 from trackbounds.cli import main
 
 
@@ -120,6 +121,24 @@ class TestRunPipeline:
         monkeypatch.setattr(np, "roots", counting_roots)
         run_pipeline(example_spec, mode=mode, wd_table=example_wd_table)
         assert count == calls
+
+    def test_family_responses_are_made_once_per_emit(self, monkeypatch, example_spec,
+                                                      example_wd_table, tmp_path):
+        # the envelope stage reduces the family in closed form; only
+        # bode_family.csv needs the members' complex responses
+        calls = 0
+        family_response = pipeline.family_response
+
+        def counting_family_response(*args):
+            nonlocal calls
+            calls += 1
+            return family_response(*args)
+
+        monkeypatch.setattr(pipeline, "family_response", counting_family_response)
+        result = run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table)
+        assert calls == 0
+        emit(result, tmp_path)
+        assert calls == 1
 
     def test_mode_validation(self, example_spec):
         with pytest.raises(ValueError, match="mode"):
@@ -349,6 +368,9 @@ class TestCli:
          "wd_table"),
         (["--mp", "0.15", "--tr", "1e-300", "--ts", "30", "--dev", "0.03", "--wi", "5"],
          "wd_table"),
+        # (omega / omega_n)**2 overflows at the top of the grid, so the lower
+        # magnitude envelope would read 0 there
+        (BASE + ["--mode", "envelope", "--wmax", "1e160"], "envelope"),
     ])
     def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
         start = time.perf_counter()
@@ -442,16 +464,16 @@ class TestWorkedExampleBytes:
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "envelope": {
-            "stdout": "522610989a9b47e1ee3999c496c87ef1e6ffe01590f4861e2e551b1724084a69",
+            "stdout": "66f4294081726656a6d587ed7802ae6067ac5e3e2da6596a4b472cbddcc2dd38",
             "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
-            "bode_lower.csv": "2933744d4c2fb0b4a2e609fe41429430a02b92328fb405bc075812df2fd894dd",
+            "bode_lower.csv": "05d0bc1ea3996785b414e8076fe2a61f9b0bb0b07bdb678a0995c9a11b6d8ee1",
             "bode_upper.csv": "824fcc5efd91358478a5b3a8b4817e8782e45b7c9f4211af85b3f20851ad1d46",
-            "envelope_lower.csv": "b3a07d2b37ae42a1eb12b99a667d934f32bf556ff9e2994c8bbdd348f6454071",
-            "envelope_upper.csv": "e67806dd7ce23eb641107c74f5adf697cde21489ae03c669d3503e9d8bbe92a7",
-            "fit_report_lower.csv": "f9b2f1bfe6ae5fe97874118ef8342a18e95cfd9a1d6ac1ebe7762e6190a44851",
-            "fit_report_upper.csv": "637eb3f3d0a5c2bd7c7a82b8ff78b3a4d404782d5ee6a0123e46ead6236fb75b",
-            "summary.txt": "522610989a9b47e1ee3999c496c87ef1e6ffe01590f4861e2e551b1724084a69",
-            "trace_lower.csv": "e55ab38eb6f25efa00f859db315e6bb08f2638a79754fdf0cac3ee6cb33d478d",
+            "envelope_lower.csv": "46e83d851841d36961eb612d3a62afe7f1dcce1cdc9305869b3c23b3cb7d62ad",
+            "envelope_upper.csv": "83ccc670bc9e912de0158368efe6c360500c38f931370927c9828831839a9539",
+            "fit_report_lower.csv": "0da8fd12e03d5cd90fb7a932aac34c11c5d368438810b86c4ffe22e519b174b4",
+            "fit_report_upper.csv": "aca6ae6a41ed722dc51398d63c4c94e1b39a1af5b3922f7c260f3a75b17f8056",
+            "summary.txt": "66f4294081726656a6d587ed7802ae6067ac5e3e2da6596a4b472cbddcc2dd38",
+            "trace_lower.csv": "503d73d12e8539fa7dfa220ac53f8fe586869273fc77a63b26acf0d27f33a2d3",
             "trace_upper.csv": "cd19d45303d8fb2fd446f80b8cffb6bfc209a7cd1064b922f1693082abb81e09",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },

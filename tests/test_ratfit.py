@@ -14,7 +14,6 @@ from trackbounds import (
     cleanup,
     dc_gain,
     envelope_of,
-    family_response,
     fit,
     format_fit_report,
     freq_response,
@@ -29,9 +28,7 @@ from test_tf_model import random_stable_tf
 
 @pytest.fixture(scope="module")
 def family_envelopes(example_wd_table):
-    grid = make_grid(0.01, 100.0, 200)
-    members = family_response(example_wd_table, 5, grid.omegas)
-    return envelope_of(members, grid)
+    return envelope_of(example_wd_table, 5, make_grid(0.01, 100.0, 200))
 
 
 def normalized(coeffs):
