@@ -20,8 +20,8 @@ from .family import (
     Spec,
     WdTable,
     build_wd,
-    family_response,
     format_wd_table,
+    member_terms,
     parse_wd_table,
     read_wd_table,
 )
@@ -88,7 +88,7 @@ __all__ = [
     "ToleranceBand", "TimeDomainMetrics",
     "newton_inverse_interp", "unit_rise_time", "unit_settling_time",
     "omega_n_for", "omega_ns_for", "extract_metrics",
-    "Spec", "WdTable", "build_wd", "family_response",
+    "Spec", "WdTable", "build_wd", "member_terms",
     "format_wd_table", "parse_wd_table", "read_wd_table",
     "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",
     "FitProblem", "FitReport", "fit", "cleanup", "gain_adjust", "report",

@@ -2,10 +2,10 @@
 
 The lower (upper) envelope of a curve family takes the pointwise minimum
 (maximum) of magnitude and of phase independently, so it is a
-conservative hull rather than the response of any single member; both
-follow from the members' closed forms, without their complex responses.
-The restricted modes instead pick whole members by their magnitude at one
-end of the grid.
+conservative hull rather than the response of any single member. The
+restricted modes instead pick whole members by their magnitude at one end
+of the grid. Both read the members' closed forms from family.member_terms,
+without their complex responses.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .family import WdTable, family_response, member_omega_ns
+from .family import WdTable, member_terms
 from .sos_core import make_tf, scale_omega
 from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF
 
@@ -62,21 +62,18 @@ def envelope_of(table: WdTable, wi: int,
                 grid: FrequencyGrid) -> tuple[FrequencyResponse, FrequencyResponse]:
     """Pointwise lower and upper envelopes of the family's responses on the grid.
 
-    Member (k, i) at omega is 1/(x + jy) with v = omega / (i * omega_n[k]),
-    x = 1 - v^2 and y = 2 * zeta[k] * v > 0. Its magnitude 1/sqrt(x^2 + y^2)
-    falls as x^2 + y^2 rises, and its phase -atan2(1, x/y) lies in (-pi, 0)
-    and rises with x/y, so the extremes of those two quantities over the
-    members give the magnitude and phase extremes per frequency, which are
-    recombined into complex samples, the data a rational fit takes.
+    Each member is 1/(x + jy) in the terms of member_terms, with y > 0. Its
+    magnitude 1/sqrt(x^2 + y^2) falls as x^2 + y^2 rises, and its phase
+    -atan2(1, x/y) lies in (-pi, 0) and rises with x/y, so the extremes of
+    those two quantities over the members give the magnitude and phase
+    extremes per frequency, which are recombined into complex samples, the
+    data a rational fit takes.
     """
     points = len(grid)
-    wn = member_omega_ns(table, wi, points)
+    x, y = member_terms(table, wi, grid.omegas)
     # at most three family-sized float arrays; a member whose terms overflow
     # or underflow shows in the magnitude check below
     with np.errstate(all="ignore"):
-        x = grid.omegas / wn
-        y = x * (2 * table.zetas()[:, None])
-        np.subtract(1.0, np.square(x, out=x), out=x)
         ratio = (x / y).reshape(-1, points)
         dist = np.add(np.square(x, out=x), np.square(y, out=y), out=x).reshape(-1, points)
         mags = 1.0 / np.sqrt([dist.max(axis=0), dist.min(axis=0)])
@@ -97,7 +94,8 @@ def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) ->
     if end not in ("low", "high"):
         raise ValueError('end must be "low" or "high"')
     omega = grid.omegas[0] if end == "low" else grid.omegas[-1]
-    mags = np.abs(family_response(table, wi, [omega])[:, :, 0]).tolist()
+    x, y = member_terms(table, wi, [omega])
+    mags = (1.0 / np.sqrt(x * x + y * y))[:, :, 0].tolist()
     lower, upper = 0, 0
     # scan in zeta order: a later member replaces the pick only when it is
     # better by more than _REL_TIE, so near-ties keep the lower zeta

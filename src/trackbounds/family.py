@@ -22,8 +22,8 @@ __all__ = [
     "Spec",
     "WdTable",
     "build_wd",
-    "family_response",
     "format_wd_table",
+    "member_terms",
     "parse_wd_table",
     "read_wd_table",
 ]
@@ -32,8 +32,8 @@ _WD_HEADER = "zeta,omega_n"
 # largest damping sweep; its run time and the crossing solver's arrays grow
 # with the pairs, three crossings each
 _MAX_WD_PAIRS = 1000
-# largest family, wi * pairs * points entries: 64 MiB as complex responses,
-# 96 MiB as the envelope's three float arrays
+# largest family, wi * pairs * points entries: 64 MiB as member_terms' two
+# float arrays, 96 MiB with the envelope's third
 _MAX_FAMILY_ENTRIES = 2**22
 
 
@@ -114,32 +114,28 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     return WdTable(tuple(SecondOrderParams(wn, z) for wn, z in zip(omega_ns.tolist(), zetas)))
 
 
-def member_omega_ns(table: WdTable, wi: int, points: int) -> np.ndarray:
-    """Natural frequencies i * omega_n of pair k for i = 1..wi, shape (wi, pairs, 1).
+def member_terms(table: WdTable, wi: int, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Terms x and y of every member at omegas, each of shape (wi, pairs, points).
 
-    Checks wi, and the budget of wi * pairs * points family entries, before
-    any family-sized array is made.
+    Member (k, i), pair k with its natural frequency scaled by i = 1..wi,
+    responds at omegas[j] as 1/(x + jy), with v = omegas[j] / (i * omega_n[k]),
+    x = 1 - v^2 and y = 2 * zeta[k] * v: magnitude 1/sqrt(x^2 + y^2) and
+    phase -atan2(y, x). Checks wi, and the budget of wi * pairs * points
+    family entries, before any family-sized array is made; a term that
+    overflows is left at inf for the caller's checks.
     """
     if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
         raise ValueError("frequency multiplier count must be an integer >= 1")
-    entries = int(wi) * len(table) * int(points)
+    omegas = np.asarray(omegas, dtype=float)
+    entries = int(wi) * len(table) * omegas.size
     if entries > _MAX_FAMILY_ENTRIES:
         raise NumericalError(f"{entries} family entries exceed the budget of {_MAX_FAMILY_ENTRIES}")
-    return table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
-
-
-def family_response(table: WdTable, wi: int, omegas) -> np.ndarray:
-    """Complex responses H[i-1, k, j] of pair k scaled by i = 1..wi at omegas[j].
-
-    Evaluates wn^2 / (s^2 + 2*zeta*wn*s + wn^2) at s = j*omega by
-    broadcasting, in the operation order of eval_poly's Horner rule, so
-    every entry equals freq_response of make_tf(scale_omega(pair, i)).
-    """
-    wn = member_omega_ns(table, wi, len(omegas))
-    z = table.zetas()[None, :, None]
-    s = 1j * np.asarray(omegas, dtype=float)
-    wn2 = wn * wn
-    return wn2 / ((s + 2 * z * wn) * s + wn2)
+    wn = table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
+    with np.errstate(all="ignore"):
+        x = omegas / wn
+        y = x * (2 * table.zetas()[:, None])
+        np.subtract(1.0, np.square(x, out=x), out=x)
+    return x, y
 
 
 def format_wd_table(table: WdTable) -> str:

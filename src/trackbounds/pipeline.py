@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .envelope import BoundPair, envelope_of, make_grid, select_restricted
 from .errors import NumericalError
-from .family import Spec, WdTable, build_wd, family_response, format_wd_table, parse_wd_table
+from .family import Spec, WdTable, build_wd, format_wd_table, member_terms, parse_wd_table
 from .ratfit import FitProblem, FitReport, cleanup, fit, gain_adjust, report
 from .simulate import FinalTD, StepTrace, round_trip
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
@@ -266,12 +266,12 @@ def format_trace(trace: StepTrace) -> str:
 
 def _format_family_bode(result: PipelineResult):
     """bode_family.csv as text chunks: the header, then one per member."""
-    responses = family_response(result.wd, result.spec.wi, result.grid.omegas)
+    terms = member_terms(result.wd, result.spec.wi, result.grid.omegas)
     omegas = [repr(w) for w in result.grid.omegas.tolist()]
     yield "zeta,i,omega,mag,phase_deg\n"
-    for i, rows in enumerate(responses, start=1):
-        mags = np.abs(rows).tolist()
-        phases = np.degrees(np.unwrap(np.angle(rows))).tolist()
+    for i, (x, y) in enumerate(zip(*terms), start=1):
+        mags = (1.0 / np.sqrt(x * x + y * y)).tolist()
+        phases = np.degrees(-np.arctan2(y, x)).tolist()
         for params, mag, phase in zip(result.wd.pairs, mags, phases):
             head = f"{float(params.zeta)!r},{i},"
             yield "".join([f"{head}{w},{m!r},{p!r}\n" for w, m, p in zip(omegas, mag, phase)])

@@ -10,9 +10,10 @@ loop the package's block propagation must reproduce, and the crossing
 references solve one crossing at a time on the whole sampled window, the
 plain loops the package's batched crossing solver must reproduce; the modal step
 response is exact. The family members are built one transfer function at
-a time, the form the package's broadcast family response must reproduce,
-and the envelope reference is the general complex hull over the family's
-responses, which the package's closed-form envelopes must reproduce.
+a time, and the family's complex responses, broadcast in the operation
+order of the package's Horner rule, equal theirs entry for entry; the
+package's closed-form member terms and envelopes must reproduce those
+responses and their general complex hull.
 """
 
 import math
@@ -220,6 +221,20 @@ def family_tfs(table, i):
     from trackbounds import make_tf, scale_omega
 
     return [make_tf(scale_omega(p, i)) for p in table.pairs]
+
+
+def family_response(table, wi, omegas):
+    """Complex responses H[i-1, k, j] of pair k scaled by i = 1..wi at omegas[j].
+
+    Evaluates wn^2 / (s^2 + 2*zeta*wn*s + wn^2) at s = j*omega by
+    broadcasting, in the operation order of eval_poly's Horner rule, so
+    every entry equals freq_response of make_tf(scale_omega(pair, i)).
+    """
+    wn = table.omega_ns()[None, :, None] * np.arange(1, wi + 1)[:, None, None]
+    z = table.zetas()[None, :, None]
+    s = 1j * np.asarray(omegas, dtype=float)
+    wn2 = wn * wn
+    return wn2 / ((s + 2 * z * wn) * s + wn2)
 
 
 def complex_hull(responses, grid):

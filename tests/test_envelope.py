@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import complex_hull, family_tfs
+from oracles import complex_hull, family_response, family_tfs
 from trackbounds import (
     BoundPair,
     FrequencyResponse,
@@ -15,7 +15,6 @@ from trackbounds import (
     WdTable,
     build_wd,
     envelope_of,
-    family_response,
     format_envelope,
     freq_response,
     make_grid,
@@ -81,19 +80,8 @@ class TestEnvelopeOf:
             assert np.all(lo.phase() <= resp.phase() + 1e-12)
             assert np.all(hi.phase() >= resp.phase() - 1e-12)
 
-    @pytest.mark.parametrize("mp, zeta_step, wi, w_min, w_max, points", [
-        (None, None, 5, 0.01, 100.0, 200),  # the worked example
-        (0.25, 0.01, 10, 0.01, 100.0, 200),  # 60 pairs
-        (None, None, 50, 0.01, 100.0, 1500),
-        (None, None, 5, 1e-4, 1e4, 400),
-    ], ids=["example", "step-0.01-wi-10", "wi-50-points-1500", "wide-grid"])
-    def test_matches_the_complex_hull(self, example_wd_table, mp, zeta_step, wi,
-                                      w_min, w_max, points):
-        table = (example_wd_table if mp is None
-                 else build_wd(Spec(mp=mp, tr=5.0, ts=30.0, dev=0.03, wi=wi), zeta_step))
-        grid = make_grid(w_min, w_max, points)
-        if mp is not None:
-            assert len(table) == 60
+    def test_matches_the_complex_hull(self, checked_family):
+        table, wi, grid = checked_family
         hull = complex_hull(family_response(table, wi, grid.omegas), grid)
         for env, ref in zip(envelope_of(table, wi, grid), hull):
             assert_envelope_equals(env, ref)
@@ -250,10 +238,17 @@ class TestSelectRestricted:
         return members[best]
 
     def test_matches_brute_force_over_family_members(self):
+        # 100 seeded specs: mp 1e-3-0.9, tr 0.01-100 s, ts 0.1-100 x tr,
+        # dev 1e-3-0.5 and wi 1-29, at both damping steps
         rng = np.random.default_rng(79)
-        for zeta_step in (0.05, 0.01, 0.05, 0.01):
-            spec = Spec(mp=rng.uniform(0.02, 0.4), tr=rng.uniform(0.5, 10.0),
-                        ts=rng.uniform(20.0, 60.0), dev=0.03, wi=int(rng.integers(1, 25)))
+
+        def log_uniform(lo, hi):
+            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+        for zeta_step in (0.05, 0.01) * 50:
+            tr = log_uniform(0.01, 100.0)
+            spec = Spec(mp=log_uniform(1e-3, 0.9), tr=tr, ts=tr * log_uniform(0.1, 100.0),
+                        dev=log_uniform(1e-3, 0.5), wi=int(rng.integers(1, 30)))
             table = build_wd(spec, zeta_step)
             grid = make_grid(rng.uniform(1e-3, 0.1), rng.uniform(10.0, 1e3), 20)
             for end, k in (("low", 0), ("high", -1)):

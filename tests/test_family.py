@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import family_tfs
+from oracles import family_response, family_tfs
 from trackbounds import (
     SecondOrderParams,
     Spec,
     WdTable,
     build_wd,
-    family_response,
     format_wd_table,
     freq_response,
     make_grid,
     make_tf,
+    member_terms,
     overshoot,
     parse_wd_table,
     read_wd_table,
@@ -160,6 +160,8 @@ class TestFamilyTfs:
 
 
 class TestFamilyResponse:
+    """The complex reference, member by member, and the closed form against it."""
+
     @staticmethod
     def stacked(table, wi, grid):
         return np.array([[freq_response(tf, grid).values for tf in family_tfs(table, i)]
@@ -178,9 +180,17 @@ class TestFamilyResponse:
         assert got.shape == (20, len(table), 300)
         assert np.array_equal(got, self.stacked(table, 20, grid))
 
+    def test_member_terms_match_the_responses(self, checked_family):
+        table, wi, grid = checked_family
+        x, y = member_terms(table, wi, grid.omegas)
+        assert x.shape == y.shape == (wi, len(table), len(grid))
+        ref = family_response(table, wi, grid.omegas)
+        np.testing.assert_allclose(1.0 / np.sqrt(x * x + y * y), np.abs(ref), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(-np.arctan2(y, x), np.angle(ref), rtol=0, atol=1e-14)
+
     def test_multiplier_validation(self, example_wd_table):
         with pytest.raises(ValueError, match="multiplier"):
-            family_response(example_wd_table, 0, [1.0])
+            member_terms(example_wd_table, 0, [1.0])
 
 
 class TestWdTableIO:

@@ -6,10 +6,10 @@ import time
 
 import numpy as np
 import pytest
+from oracles import family_response
 
 from trackbounds import (
     emit,
-    family_response,
     format_summary,
     freq_response,
     make_tf,
@@ -19,7 +19,7 @@ from trackbounds import (
     scale_omega,
     summary_skeleton,
 )
-from trackbounds import pipeline
+from trackbounds import envelope, family, pipeline
 from trackbounds.cli import main
 
 
@@ -124,21 +124,25 @@ class TestRunPipeline:
 
     def test_family_responses_are_made_once_per_emit(self, monkeypatch, example_spec,
                                                       example_wd_table, tmp_path):
-        # the envelope stage reduces the family in closed form; only
-        # bode_family.csv needs the members' complex responses
-        calls = 0
-        family_response = pipeline.family_response
+        # every consumer reads the members' closed form from member_terms:
+        # the envelope stage once, bode_family.csv once more, and a
+        # restricted pick once, at its one endpoint frequency
+        calls = []
+        member_terms = family.member_terms
 
-        def counting_family_response(*args):
-            nonlocal calls
-            calls += 1
-            return family_response(*args)
+        def counting_member_terms(table, wi, omegas):
+            calls.append(len(omegas))
+            return member_terms(table, wi, omegas)
 
-        monkeypatch.setattr(pipeline, "family_response", counting_family_response)
+        for module in (envelope, pipeline):
+            monkeypatch.setattr(module, "member_terms", counting_member_terms)
         result = run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table)
-        assert calls == 0
+        assert calls == [200]
         emit(result, tmp_path)
-        assert calls == 1
+        assert calls == [200, 200]
+        calls.clear()
+        run_pipeline(example_spec, mode="low", wd_table=example_wd_table)
+        assert calls == [1]
 
     def test_mode_validation(self, example_spec):
         with pytest.raises(ValueError, match="mode"):
@@ -284,14 +288,16 @@ class TestEmit:
         pairs = result_env.wd.pairs
         assert columns("wd_table.csv") == (
             "zeta,omega_n", [[p.zeta for p in pairs], [p.omega_n for p in pairs]])
-        header, family = columns("bode_family.csv")
-        first = family_response(result_env.wd, 1, result_env.grid.omegas)[0, 0]
-        points = len(result_env.grid)
+        # every member row of bode_family.csv against the complex reference
+        header, (zeta, i, omega, mag, phase_deg) = columns("bode_family.csv")
+        wi, points = result_env.spec.wi, len(result_env.grid)
+        ref = family_response(result_env.wd, wi, result_env.grid.omegas)
         assert header == "zeta,i,omega,mag,phase_deg"
-        assert [col[:points] for col in family] == [
-            [pairs[0].zeta] * points, [1.0] * points,
-            *as_lists(result_env.grid.omegas, np.abs(first),
-                      np.degrees(np.unwrap(np.angle(first))))]
+        assert zeta == [p.zeta for p in pairs for _ in range(points)] * wi
+        assert i == [float(k) for k in range(1, wi + 1) for _ in range(len(pairs) * points)]
+        assert omega == result_env.grid.omegas.tolist() * (wi * len(pairs))
+        np.testing.assert_allclose(mag, np.abs(ref).ravel(), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(np.radians(phase_deg), np.angle(ref).ravel(), rtol=0, atol=1e-14)
 
     def test_repeat_emits_are_byte_identical(self, result_low, tmp_path):
         first = emit(result_low, tmp_path / "a")
@@ -445,7 +451,7 @@ class TestWorkedExampleBytes:
     PINNED = {
         "low": {
             "stdout": "704f913eee488c91db04e5da82fa91420f45993c2557f4f378bbf6148a7d0db2",
-            "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
+            "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
             "bode_lower.csv": "0859bb8f841135b44716f2b3cc6cfb9d55076c2a3fdd52b65418a21e511b3073",
             "bode_upper.csv": "92d46d8a51563096fc48ab0da4926498d4d9b1d9c62e88605bb4b41c591a3c39",
             "summary.txt": "704f913eee488c91db04e5da82fa91420f45993c2557f4f378bbf6148a7d0db2",
@@ -455,7 +461,7 @@ class TestWorkedExampleBytes:
         },
         "high": {
             "stdout": "098dca5497650ca0205bcfcc35077f9a9c23c3dfb67c84ac72b68b0f2e1b3d7d",
-            "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
+            "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
             "bode_lower.csv": "21262a3251ac82504aa5973add4553007705b81fe56cf0c73fb5299a2d81fc8a",
             "bode_upper.csv": "e4a6d5e494d88ad73d962a59291f90634076ca216d3942461b81b219270d8348",
             "summary.txt": "098dca5497650ca0205bcfcc35077f9a9c23c3dfb67c84ac72b68b0f2e1b3d7d",
@@ -465,7 +471,7 @@ class TestWorkedExampleBytes:
         },
         "envelope": {
             "stdout": "66f4294081726656a6d587ed7802ae6067ac5e3e2da6596a4b472cbddcc2dd38",
-            "bode_family.csv": "1de150469886451d741d9d42f6a3d8d8a2d360be6face64fb0e54c3f5ceb5582",
+            "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
             "bode_lower.csv": "05d0bc1ea3996785b414e8076fe2a61f9b0bb0b07bdb678a0995c9a11b6d8ee1",
             "bode_upper.csv": "824fcc5efd91358478a5b3a8b4817e8782e45b7c9f4211af85b3f20851ad1d46",
             "envelope_lower.csv": "46e83d851841d36961eb612d3a62afe7f1dcce1cdc9305869b3c23b3cb7d62ad",
