@@ -21,6 +21,7 @@ from .family import (
     WdTable,
     build_wd,
     format_wd_table,
+    member_blocks,
     member_terms,
     parse_wd_table,
     read_wd_table,
@@ -88,7 +89,7 @@ __all__ = [
     "ToleranceBand", "TimeDomainMetrics",
     "newton_inverse_interp", "unit_rise_time", "unit_settling_time",
     "omega_n_for", "omega_ns_for", "extract_metrics",
-    "Spec", "WdTable", "build_wd", "member_terms",
+    "Spec", "WdTable", "build_wd", "member_blocks", "member_terms",
     "format_wd_table", "parse_wd_table", "read_wd_table",
     "BoundPair", "make_grid", "envelope_of", "select_restricted", "format_envelope",
     "FitProblem", "FitReport", "fit", "cleanup", "gain_adjust", "report",

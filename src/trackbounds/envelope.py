@@ -5,7 +5,9 @@ The lower (upper) envelope of a curve family takes the pointwise minimum
 conservative hull rather than the response of any single member. The
 restricted modes instead pick whole members by their magnitude at one end
 of the grid. Both read the members' closed forms from family.member_terms,
-without their complex responses.
+without their complex responses: the envelopes keep running extremes over
+the family's member blocks, and the restricted modes read only the two
+multipliers they pick from.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .family import WdTable, member_terms
+from .family import WdTable, member_blocks, member_terms
 from .sos_core import make_tf, scale_omega
 from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF
 
@@ -58,6 +60,14 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
     return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
 
 
+def _check_magnitudes(what: str, mags: np.ndarray) -> np.ndarray:
+    """The magnitudes, if each is a finite positive normal float."""
+    if not np.all(np.isfinite(mags) & (mags >= np.finfo(float).tiny)):
+        raise NumericalError(f"{what} magnitudes from {float(mags.min())!r} to "
+                             f"{float(mags.max())!r} are not all finite positive normal floats")
+    return mags
+
+
 def envelope_of(table: WdTable, wi: int,
                 grid: FrequencyGrid) -> tuple[FrequencyResponse, FrequencyResponse]:
     """Pointwise lower and upper envelopes of the family's responses on the grid.
@@ -70,17 +80,23 @@ def envelope_of(table: WdTable, wi: int,
     data a rational fit takes.
     """
     points = len(grid)
-    x, y = member_terms(table, wi, grid.omegas)
-    # at most three family-sized float arrays; a member whose terms overflow
-    # or underflow shows in the magnitude check below
+    blocks = member_blocks(table, wi, grid.omegas)
+    # running minima and maxima of x^2 + y^2 and x/y over the member blocks;
+    # minimum and maximum select exact values, so they are the family's own
+    lows, highs = np.full((2, points), np.inf), np.full((2, points), -np.inf)
+    # a member whose terms overflow or underflow shows in the magnitude
+    # check below
     with np.errstate(all="ignore"):
-        ratio = (x / y).reshape(-1, points)
-        dist = np.add(np.square(x, out=x), np.square(y, out=y), out=x).reshape(-1, points)
-        mags = 1.0 / np.sqrt([dist.max(axis=0), dist.min(axis=0)])
-        phases = -np.arctan2(1.0, [ratio.min(axis=0), ratio.max(axis=0)])
-    if not np.all(np.isfinite(mags) & (mags >= np.finfo(float).tiny)):
-        raise NumericalError(f"envelope magnitudes from {float(mags.min())!r} to "
-                             f"{float(mags.max())!r} are not all finite positive normal floats")
+        for block in blocks:
+            x, y = member_terms(table, block, grid.omegas)
+            ratio = (x / y).reshape(-1, points)
+            dist = np.add(np.square(x, out=x), np.square(y, out=y), out=x).reshape(-1, points)
+            np.minimum(lows, [dist.min(axis=0), ratio.min(axis=0)], out=lows)
+            np.maximum(highs, [dist.max(axis=0), ratio.max(axis=0)], out=highs)
+            del x, y, ratio, dist  # freed before the next block's are made
+        mags = 1.0 / np.sqrt([highs[0], lows[0]])
+        phases = -np.arctan2(1.0, [lows[1], highs[1]])
+    _check_magnitudes("envelope", mags)
     return tuple(FrequencyResponse(grid, m * np.exp(1j * p)) for m, p in zip(mags, phases))
 
 
@@ -89,13 +105,16 @@ def select_restricted(table: WdTable, wi: int, grid: FrequencyGrid, end: str) ->
 
     The lower bound is the base-frequency (i = 1) member with the smallest
     magnitude at the chosen endpoint; the upper bound is the i = wi member
-    with the largest.
+    with the largest. A member magnitude there that is not a finite
+    positive normal float raises NumericalError.
     """
     if end not in ("low", "high"):
         raise ValueError('end must be "low" or "high"')
     omega = grid.omegas[0] if end == "low" else grid.omegas[-1]
-    x, y = member_terms(table, wi, [omega])
-    mags = (1.0 / np.sqrt(x * x + y * y))[:, :, 0].tolist()
+    member_blocks(table, wi, [omega])  # checks wi and the family's budget
+    x, y = member_terms(table, sorted({1, wi}), [omega])
+    with np.errstate(all="ignore"):
+        mags = _check_magnitudes("member", (1.0 / np.sqrt(x * x + y * y))[:, :, 0]).tolist()
     lower, upper = 0, 0
     # scan in zeta order: a later member replaces the pick only when it is
     # better by more than _REL_TIE, so near-ties keep the lower zeta

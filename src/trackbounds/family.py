@@ -4,7 +4,8 @@ A specification (mp, tr, ts, dev, wi) is translated into a table of
 (omega_n, zeta) pairs: zeta sweeps from the overshoot-limited minimum in
 fixed steps while below 1, and each zeta gets the smallest natural frequency
 meeting both timing requirements. The table round-trips through a small CSV
-format so externally computed sweeps can be injected.
+format so externally computed sweeps can be injected. The family's members
+are read in closed form, a block of consecutive multipliers at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "WdTable",
     "build_wd",
     "format_wd_table",
+    "member_blocks",
     "member_terms",
     "parse_wd_table",
     "read_wd_table",
@@ -32,9 +34,11 @@ _WD_HEADER = "zeta,omega_n"
 # largest damping sweep; its run time and the crossing solver's arrays grow
 # with the pairs, three crossings each
 _MAX_WD_PAIRS = 1000
-# largest family, wi * pairs * points entries: 64 MiB as member_terms' two
-# float arrays, 96 MiB with the envelope's third
+# largest family, wi * pairs * points entries; it bounds the envelope's run
+# time and the rows of bode_family.csv, while memory is bounded per block
 _MAX_FAMILY_ENTRIES = 2**22
+# entries of one member block, unless a single multiplier holds more
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -114,23 +118,34 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     return WdTable(tuple(SecondOrderParams(wn, z) for wn, z in zip(omega_ns.tolist(), zetas)))
 
 
-def member_terms(table: WdTable, wi: int, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """Terms x and y of every member at omegas, each of shape (wi, pairs, points).
+def member_blocks(table: WdTable, wi: int, omegas):
+    """Ranges of consecutive multipliers, together 1..wi, whose members hold
+    at most _BLOCK_ENTRIES entries at omegas, or one multiplier each.
 
-    Member (k, i), pair k with its natural frequency scaled by i = 1..wi,
-    responds at omegas[j] as 1/(x + jy), with v = omegas[j] / (i * omega_n[k]),
-    x = 1 - v^2 and y = 2 * zeta[k] * v: magnitude 1/sqrt(x^2 + y^2) and
-    phase -atan2(y, x). Checks wi, and the budget of wi * pairs * points
-    family entries, before any family-sized array is made; a term that
-    overflows is left at inf for the caller's checks.
+    Checks wi, and the budget of wi * pairs * points family entries, when
+    called: before any member is computed.
     """
     if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
         raise ValueError("frequency multiplier count must be an integer >= 1")
-    omegas = np.asarray(omegas, dtype=float)
-    entries = int(wi) * len(table) * omegas.size
-    if entries > _MAX_FAMILY_ENTRIES:
+    wi, member = int(wi), len(table) * np.size(omegas)
+    if (entries := wi * member) > _MAX_FAMILY_ENTRIES:
         raise NumericalError(f"{entries} family entries exceed the budget of {_MAX_FAMILY_ENTRIES}")
-    wn = table.omega_ns()[None, :, None] * np.arange(1, int(wi) + 1)[:, None, None]
+    step = max(1, _BLOCK_ENTRIES // member)
+    return (range(i, min(i + step, wi + 1)) for i in range(1, wi + 1, step))
+
+
+def member_terms(table: WdTable, multipliers, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Terms x and y of the members at omegas, each of shape (multipliers, pairs, points).
+
+    Member (k, i), pair k with its natural frequency scaled by i, responds
+    at omegas[j] as 1/(x + jy), with v = omegas[j] / (i * omega_n[k]),
+    x = 1 - v^2 and y = 2 * zeta[k] * v: magnitude 1/sqrt(x^2 + y^2) and
+    phase -atan2(y, x). The multipliers come from member_blocks, or from a
+    family it has checked; a term that overflows is left at inf for the
+    caller's checks.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    wn = table.omega_ns()[None, :, None] * np.asarray(multipliers)[:, None, None]
     with np.errstate(all="ignore"):
         x = omegas / wn
         y = x * (2 * table.zetas()[:, None])

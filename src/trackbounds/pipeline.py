@@ -5,7 +5,9 @@ sweep, bound construction (endpoint-restricted members or fitted
 envelopes), and the round-trip simulation check. emit() writes the text
 outputs. This module owns every artifact format but the wd table's (see
 family): every float is written with repr, so the CSV files and the
-summary, laid out by one list of keys, parse back without loss.
+summary, laid out by one list of keys, parse back without loss. The CSV
+tables are formatted in chunks of rows, and bode_family.csv one member
+block at a time, which emit writes as they come.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from . import __version__
 from .envelope import BoundPair, envelope_of, make_grid, select_restricted
 from .errors import NumericalError
-from .family import Spec, WdTable, build_wd, format_wd_table, member_terms, parse_wd_table
+from .family import (Spec, WdTable, build_wd, format_wd_table, member_blocks, member_terms,
+                     parse_wd_table)
 from .ratfit import FitProblem, FitReport, cleanup, fit, gain_adjust, report
 from .simulate import FinalTD, StepTrace, round_trip
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
@@ -40,6 +43,8 @@ __all__ = [
 ]
 
 MODES = ("low", "high", "envelope")
+# rows of a CSV table formatted at a time
+_CSV_CHUNK_ROWS = 2**10
 
 
 @dataclass
@@ -239,69 +244,98 @@ def parse_summary(text: str) -> SummaryDoc:
     )
 
 
-def _csv(header: str, *columns) -> str:
-    """CSV text: the header, then row k of the columns as repr'd floats."""
-    rows = np.column_stack(columns)
-    row = ",".join(["%r"] * rows.shape[1]) + "\n"
-    return header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist())
+def _csv(header: str, *columns):
+    """CSV text in chunks: the header, then _CSV_CHUNK_ROWS rows at a time,
+    row k of the columns as repr'd floats."""
+    yield header + "\n"
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        rows = np.column_stack([c[start:start + _CSV_CHUNK_ROWS] for c in columns])
+        yield (row * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def format_envelope(resp: FrequencyResponse) -> str:
-    """CSV rendering with columns omega, mag, phase_deg."""
+def _envelope_csv(resp: FrequencyResponse):
     return _csv("omega,mag,phase_deg", resp.grid.omegas, resp.magnitude(), np.degrees(resp.phase()))
 
 
-def format_fit_report(rep: FitReport) -> str:
-    """CSV rendering: data, fit, and error columns per frequency."""
+def _fit_report_csv(rep: FitReport):
     return _csv("omega,mag_data,mag_fit,mag_err,phase_data_deg,phase_fit_deg,phase_err_deg",
                 rep.data.grid.omegas, rep.data.magnitude(), rep.response.magnitude(),
                 rep.mag_error, np.degrees(rep.data.phase()), np.degrees(rep.response.phase()),
                 rep.phase_error_deg)
 
 
-def format_trace(trace: StepTrace) -> str:
-    """CSV rendering with columns t, y."""
+def _trace_csv(trace: StepTrace):
     return _csv("t,y", trace.times, trace.values)
 
 
-def _format_family_bode(result: PipelineResult):
-    """bode_family.csv as text chunks: the header, then one per member."""
-    terms = member_terms(result.wd, result.spec.wi, result.grid.omegas)
-    omegas = [repr(w) for w in result.grid.omegas.tolist()]
-    yield "zeta,i,omega,mag,phase_deg\n"
-    for i, (x, y) in enumerate(zip(*terms), start=1):
-        mags = (1.0 / np.sqrt(x * x + y * y)).tolist()
-        phases = np.degrees(-np.arctan2(y, x)).tolist()
-        for params, mag, phase in zip(result.wd.pairs, mags, phases):
+def format_envelope(resp: FrequencyResponse) -> str:
+    """CSV rendering with columns omega, mag, phase_deg."""
+    return "".join(_envelope_csv(resp))
+
+
+def format_fit_report(rep: FitReport) -> str:
+    """CSV rendering: data, fit, and error columns per frequency."""
+    return "".join(_fit_report_csv(rep))
+
+
+def format_trace(trace: StepTrace) -> str:
+    """CSV rendering with columns t, y."""
+    return "".join(_trace_csv(trace))
+
+
+def _member_rows(table: WdTable, block, omegas: np.ndarray, omega_reprs: list):
+    """bode_family.csv rows of one member block, a chunk per member."""
+    x, y = member_terms(table, block, omegas)
+    phases = np.arctan2(y, x)
+    np.degrees(np.negative(phases, out=phases), out=phases)
+    mags = np.add(np.square(x, out=x), np.square(y, out=y), out=x)
+    np.divide(1.0, np.sqrt(mags, out=mags), out=mags)
+    for i, block_mags, block_phases in zip(block, mags, phases):
+        for params, mag, phase in zip(table.pairs, block_mags, block_phases):
             head = f"{float(params.zeta)!r},{i},"
-            yield "".join([f"{head}{w},{m!r},{p!r}\n" for w, m, p in zip(omegas, mag, phase)])
+            yield "".join([f"{head}{w},{m!r},{p!r}\n"
+                           for w, m, p in zip(omega_reprs, mag.tolist(), phase.tolist())])
+
+
+def _family_bode_csv(result: PipelineResult, blocks):
+    """bode_family.csv in chunks: the header, then the members' rows."""
+    omegas = result.grid.omegas
+    omega_reprs = [repr(w) for w in omegas.tolist()]
+    yield "zeta,i,omega,mag,phase_deg\n"
+    for block in blocks:
+        # a block's arrays are freed with its generator, before the next's
+        yield from _member_rows(result.wd, block, omegas, omega_reprs)
 
 
 def emit(result: PipelineResult, out_dir) -> list:
-    """Write the run's text outputs into out_dir; returns the paths written."""
+    """Write the run's text outputs into out_dir; returns the paths written.
+    The family's budget is checked before anything is written."""
+    with _stage("emit"):
+        family_blocks = member_blocks(result.wd, result.spec.wi, result.grid.omegas)
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    def write(name: str, content):
+    def write(name: str, chunks):
         path = os.path.join(out_dir, name)
         with _stage("emit"), open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines([content] if isinstance(content, str) else content)
+            fh.writelines(chunks)
         written.append(path)
 
-    write("summary.txt", format_summary(result))
-    write("wd_table.csv", format_wd_table(result.wd))
+    write("summary.txt", [format_summary(result)])
+    write("wd_table.csv", [format_wd_table(result.wd)])
     if result.fit_reports is not None:
         bode = [rep.response for rep in result.fit_reports]
     else:
         bode = [freq_response(tf, result.grid) for tf in (result.bounds.lower, result.bounds.upper)]
     for side, resp in zip(("lower", "upper"), bode):
-        write(f"bode_{side}.csv", format_envelope(resp))
-    write("bode_family.csv", _format_family_bode(result))
-    write("trace_lower.csv", format_trace(result.traces[0]))
-    write("trace_upper.csv", format_trace(result.traces[1]))
+        write(f"bode_{side}.csv", _envelope_csv(resp))
+    write("bode_family.csv", _family_bode_csv(result, family_blocks))
+    write("trace_lower.csv", _trace_csv(result.traces[0]))
+    write("trace_upper.csv", _trace_csv(result.traces[1]))
     if result.fit_reports is not None:
         for side, rep in zip(("lower", "upper"), result.fit_reports):
-            write(f"envelope_{side}.csv", format_envelope(rep.data))
+            write(f"envelope_{side}.csv", _envelope_csv(rep.data))
         for side, rep in zip(("lower", "upper"), result.fit_reports):
-            write(f"fit_report_{side}.csv", format_fit_report(rep))
+            write(f"fit_report_{side}.csv", _fit_report_csv(rep))
     return written

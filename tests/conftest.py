@@ -38,9 +38,14 @@ def example_spec() -> Spec:
     (0.25, 0.01, 10, 0.01, 100.0, 200),  # 60 pairs
     (None, None, 50, 0.01, 100.0, 1500),
     (None, None, 5, 1e-4, 1e4, 400),
-], ids=["example", "step-0.01-wi-10", "wi-50-points-1500", "wide-grid"])
+    (0.25, 0.01, 7, 0.01, 100.0, 1500),  # 60 pairs, one multiplier a block
+], ids=["example", "step-0.01-wi-10", "wi-50-points-1500", "wide-grid", "multiplier-blocks"])
 def checked_family(request, example_wd_table):
-    """(table, wi, grid) of the families the closed forms are checked on."""
+    """(table, wi, grid) of the families the closed forms are checked on.
+
+    The first and the wide grid fit one member block; the others span
+    several, of one or more multipliers each.
+    """
     mp, zeta_step, wi, w_min, w_max, points = request.param
     table = (example_wd_table if mp is None
              else build_wd(Spec(mp=mp, tr=5.0, ts=30.0, dev=0.03, wi=wi), zeta_step))

@@ -194,6 +194,8 @@ class TestAcceptance:
                 "--out", str(out_dir),
             ]
             proc = subprocess.run(cmd, capture_output=True, check=True)
+            # outside pytest a numpy warning is printed, not raised
+            assert proc.stderr == b""
             files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
             runs.append((proc.stdout, files))
         assert runs[0][0] == runs[1][0]

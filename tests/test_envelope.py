@@ -22,6 +22,7 @@ from trackbounds import (
     scale_omega,
     select_restricted,
 )
+from trackbounds import family
 
 
 class TestMakeGrid:
@@ -87,8 +88,9 @@ class TestEnvelopeOf:
             assert_envelope_equals(env, ref)
 
     def test_peak_memory_is_three_float_arrays(self, example_wd_table):
-        # wi * pairs * points = 750,000 entries; the complex hull peaked at
-        # 64 B per entry
+        # three float arrays of one member block, however large the family:
+        # here wi * pairs * points = 750,000 entries, which the complex hull
+        # read at 64 B each
         grid = make_grid(0.01, 100.0, 1500)
         envelope_of(example_wd_table, 50, grid)
         tracemalloc.start()
@@ -97,7 +99,7 @@ class TestEnvelopeOf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 50 * len(example_wd_table) * len(grid) + 2**20
+        assert peak <= 3 * 8 * family._BLOCK_ENTRIES + 2**20
 
     def test_side_validation(self, example_wd_table):
         grid = make_grid(0.1, 10.0, 10)

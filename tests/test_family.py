@@ -14,6 +14,7 @@ from trackbounds import (
     freq_response,
     make_grid,
     make_tf,
+    member_blocks,
     member_terms,
     overshoot,
     parse_wd_table,
@@ -21,6 +22,7 @@ from trackbounds import (
     scale_omega,
     zeta_min,
 )
+from trackbounds import family
 
 
 class TestSpec:
@@ -181,16 +183,28 @@ class TestFamilyResponse:
         assert np.array_equal(got, self.stacked(table, 20, grid))
 
     def test_member_terms_match_the_responses(self, checked_family):
+        # read block by block, as every consumer reads them
         table, wi, grid = checked_family
-        x, y = member_terms(table, wi, grid.omegas)
+        terms = [member_terms(table, block, grid.omegas)
+                 for block in member_blocks(table, wi, grid.omegas)]
+        x, y = (np.concatenate(t) for t in zip(*terms))
         assert x.shape == y.shape == (wi, len(table), len(grid))
         ref = family_response(table, wi, grid.omegas)
         np.testing.assert_allclose(1.0 / np.sqrt(x * x + y * y), np.abs(ref), rtol=1e-14, atol=0)
         np.testing.assert_allclose(-np.arctan2(y, x), np.angle(ref), rtol=0, atol=1e-14)
 
+    def test_member_blocks_cover_the_family(self, checked_family):
+        # consecutive runs of multipliers, each as long as the block allows
+        table, wi, grid = checked_family
+        blocks = list(member_blocks(table, wi, grid.omegas))
+        assert [i for block in blocks for i in block] == list(range(1, wi + 1))
+        step = max(1, family._BLOCK_ENTRIES // (len(table) * len(grid)))
+        assert [len(block) for block in blocks[:-1]] == [step] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= step
+
     def test_multiplier_validation(self, example_wd_table):
         with pytest.raises(ValueError, match="multiplier"):
-            member_terms(example_wd_table, 0, [1.0])
+            member_blocks(example_wd_table, 0, [1.0])
 
 
 class TestWdTableIO:

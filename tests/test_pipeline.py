@@ -1,16 +1,20 @@
 """Tests for the end-to-end pipeline, summary documents, emit, and the CLI."""
 
+import dataclasses
 import hashlib
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import family_response
 
 from trackbounds import (
+    StepTrace,
     emit,
     format_summary,
+    format_trace,
     freq_response,
     make_tf,
     parse_summary,
@@ -125,24 +129,29 @@ class TestRunPipeline:
     def test_family_responses_are_made_once_per_emit(self, monkeypatch, example_spec,
                                                       example_wd_table, tmp_path):
         # every consumer reads the members' closed form from member_terms:
-        # the envelope stage once, bode_family.csv once more, and a
-        # restricted pick once, at its one endpoint frequency
-        calls = []
-        member_terms = family.member_terms
+        # the envelope stage and bode_family.csv each compute the family's
+        # wi * pairs * points entries once, over two member blocks here,
+        # and a restricted pick only multipliers 1 and wi at one frequency
+        computed = {}
 
-        def counting_member_terms(table, wi, omegas):
-            calls.append(len(omegas))
-            return member_terms(table, wi, omegas)
+        def counting(consumer):
+            def counting_member_terms(table, multipliers, omegas):
+                x, y = family.member_terms(table, multipliers, omegas)
+                computed[consumer] = computed.get(consumer, 0) + x.size
+                return x, y
+            return counting_member_terms
 
         for module in (envelope, pipeline):
-            monkeypatch.setattr(module, "member_terms", counting_member_terms)
-        result = run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table)
-        assert calls == [200]
+            monkeypatch.setattr(module, "member_terms", counting(module.__name__))
+        entries = example_spec.wi * len(example_wd_table) * 2000
+        result = run_pipeline(example_spec, mode="envelope", points=2000,
+                              wd_table=example_wd_table)
+        assert computed == {"trackbounds.envelope": entries}
         emit(result, tmp_path)
-        assert calls == [200, 200]
-        calls.clear()
+        assert computed == {"trackbounds.envelope": entries, "trackbounds.pipeline": entries}
+        computed.clear()
         run_pipeline(example_spec, mode="low", wd_table=example_wd_table)
-        assert calls == [1]
+        assert computed == {"trackbounds.envelope": 2 * len(example_wd_table)}
 
     def test_mode_validation(self, example_spec):
         with pytest.raises(ValueError, match="mode"):
@@ -299,6 +308,32 @@ class TestEmit:
         np.testing.assert_allclose(mag, np.abs(ref).ravel(), rtol=1e-14, atol=0)
         np.testing.assert_allclose(np.radians(phase_deg), np.angle(ref).ravel(), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_chunk_boundaries_keep_every_row(self, result_low, tmp_path, extra):
+        # a trace of exactly one CSV chunk, and of one chunk and one row
+        times = np.arange(pipeline._CSV_CHUNK_ROWS + extra) / 3.0
+        trace = StepTrace(times, np.sqrt(times), 1 / 3.0)
+        reference = "t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in
+                                      zip(trace.times.tolist(), trace.values.tolist()))
+        assert format_trace(trace) == reference
+        emit(dataclasses.replace(result_low, traces=(trace, trace)), tmp_path)
+        assert (tmp_path / "trace_lower.csv").read_bytes() == reference.encode("ascii")
+
+    def test_peak_memory_is_bounded(self, result_env, example_spec, example_wd_table,
+                                    tmp_path):
+        # wi * pairs * points = 750,000 bode_family.csv rows, written one
+        # member block and one CSV chunk at a time
+        result = run_pipeline(dataclasses.replace(example_spec, wi=50), mode="envelope",
+                              points=1500, wd_table=example_wd_table)
+        emit(result_env, tmp_path)  # a small emit first, so no first use is counted
+        tracemalloc.start()
+        try:
+            emit(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * family._BLOCK_ENTRIES + 2**20
+
     def test_repeat_emits_are_byte_identical(self, result_low, tmp_path):
         first = emit(result_low, tmp_path / "a")
         second = emit(result_low, tmp_path / "b")
@@ -308,13 +343,20 @@ class TestEmit:
                 assert fa.read() == fb.read()
 
 
+def run_ok(capsys, args) -> str:
+    """stdout of a CLI run that exits 0 and writes nothing to stderr, so
+    that a warning it leaks fails the test."""
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
 class TestCli:
     BASE = ["--mp", "0.15", "--tr", "5", "--ts", "30", "--dev", "0.03", "--wi", "5"]
 
     def test_success_prints_parseable_summary(self, capsys, example_wd_path):
-        code = main(self.BASE + ["--mode", "low", "--wd-table", str(example_wd_path)])
-        out = capsys.readouterr().out
-        assert code == 0
+        out = run_ok(capsys, self.BASE + ["--mode", "low", "--wd-table", str(example_wd_path)])
         doc = parse_summary(out)
         assert doc.mode == "low"
         assert doc.spec.mp == 0.15
@@ -322,10 +364,7 @@ class TestCli:
 
     def test_out_directory_is_written(self, capsys, tmp_path, example_wd_path):
         out_dir = tmp_path / "run"
-        code = main(self.BASE + ["--wd-table", str(example_wd_path),
-                                 "--out", str(out_dir)])
-        capsys.readouterr()
-        assert code == 0
+        run_ok(capsys, self.BASE + ["--wd-table", str(example_wd_path), "--out", str(out_dir)])
         assert (out_dir / "summary.txt").is_file()
         assert (out_dir / "bode_upper.csv").is_file()
 
@@ -377,6 +416,9 @@ class TestCli:
         # (omega / omega_n)**2 overflows at the top of the grid, so the lower
         # magnitude envelope would read 0 there
         (BASE + ["--mode", "envelope", "--wmax", "1e160"], "envelope"),
+        # the same grid in high mode: every member's magnitude at the top
+        # reads 0, so no member can be picked
+        (BASE + ["--mode", "high", "--wmax", "1e160"], "select"),
     ])
     def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
         start = time.perf_counter()
@@ -403,27 +445,26 @@ class TestCli:
 
     def test_oversized_family_output_fails_naming_emit(self, capsys, tmp_path):
         # low mode evaluates the family at one frequency only; bode_family.csv
-        # needs all of it, wi * pairs * points = 5e6 entries
+        # needs all of it, wi * pairs * points = 5e6 entries, checked before
+        # any file is written
         code = main(self.BASE + ["--points", "100000", "--out", str(tmp_path / "run")])
         assert code == 2
         assert capsys.readouterr().err.startswith("trackbounds: numerical failure: emit: ")
+        assert not (tmp_path / "run").exists()
 
     def test_gain_adjust_rescues_negative_dc_gain(self, capsys):
         # rescaling to unit DC gain flips the sign the cleanup left behind
-        code = main(self.BASE + ["--mode", "envelope", "--zeros", "1", "--poles", "2",
-                                 "--gain-adjust"])
-        doc = parse_summary(capsys.readouterr().out)
-        assert code == 0
+        doc = parse_summary(run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "1",
+                                                        "--poles", "2", "--gain-adjust"]))
         assert doc.final.lower.final_value == pytest.approx(1.0, rel=1e-6)
         assert doc.final.upper.final_value == pytest.approx(1.0, rel=1e-6)
 
     def test_slow_lower_bound_extends_its_trace(self, capsys, tmp_path):
         # the (0,4) lower fit rings for minutes: its poles size the trace at
         # 447 s, past 3 * ts = 90 s
-        code = main(self.BASE + ["--mode", "envelope", "--zeros", "0", "--poles", "4",
-                                 "--gain-adjust", "--out", str(tmp_path)])
-        doc = parse_summary(capsys.readouterr().out)
-        assert code == 0
+        doc = parse_summary(run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "0",
+                                                        "--poles", "4", "--gain-adjust",
+                                                        "--out", str(tmp_path)]))
         last_t = (tmp_path / "trace_lower.csv").read_text().splitlines()[-1].split(",")[0]
         assert float(last_t) == pytest.approx(446.877, rel=1e-5)
         assert 90.0 < doc.final.lower.ts < float(last_t)
@@ -487,10 +528,8 @@ class TestWorkedExampleBytes:
 
     @pytest.mark.parametrize("mode", sorted(PINNED))
     def test_output_hashes(self, capsys, tmp_path, example_wd_path, mode):
-        code = main(TestCli.BASE + ["--mode", mode, "--wd-table", str(example_wd_path),
-                                    "--out", str(tmp_path)])
-        out, err = capsys.readouterr()
-        assert (code, err) == (0, "")
+        out = run_ok(capsys, TestCli.BASE + ["--mode", mode, "--wd-table", str(example_wd_path),
+                                             "--out", str(tmp_path)])
         hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         hashes["stdout"] = hashlib.sha256(out.encode("ascii")).hexdigest()
         assert hashes == self.PINNED[mode]
