@@ -88,12 +88,17 @@ class WdTable:
         if any(b <= a for a, b in zip(zetas, zetas[1:])):
             raise ValueError("damping ratios must be strictly increasing")
         object.__setattr__(self, "pairs", pairs)
+        # built once, read-only: member_terms reads them for every block
+        for name, values in (("_zetas", zetas), ("_omega_ns", [p.omega_n for p in pairs])):
+            array = np.array(values)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def zetas(self) -> np.ndarray:
-        return np.array([p.zeta for p in self.pairs])
+        return self._zetas
 
     def omega_ns(self) -> np.ndarray:
-        return np.array([p.omega_n for p in self.pairs])
+        return self._omega_ns
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import os
+import signal
+import threading
 import time
 import tracemalloc
 
@@ -131,27 +133,37 @@ class TestRunPipeline:
         # every consumer reads the members' closed form from member_terms:
         # the envelope stage and bode_family.csv each compute the family's
         # wi * pairs * points entries once, over two member blocks here,
-        # and a restricted pick only multipliers 1 and wi at one frequency
-        computed = {}
+        # and a restricted pick only multipliers 1 and wi at one frequency;
+        # emit's forked child logs its entries to the same file
+        log = tmp_path / "computed.txt"
 
         def counting(consumer):
             def counting_member_terms(table, multipliers, omegas):
                 x, y = family.member_terms(table, multipliers, omegas)
-                computed[consumer] = computed.get(consumer, 0) + x.size
+                with open(log, "a", encoding="ascii") as fh:
+                    fh.write(f"{consumer} {x.size}\n")
                 return x, y
             return counting_member_terms
+
+        def computed():
+            totals = {}
+            for line in log.read_text(encoding="ascii").splitlines():
+                consumer, size = line.split()
+                totals[consumer] = totals.get(consumer, 0) + int(size)
+            log.unlink()
+            return totals
 
         for module in (envelope, pipeline):
             monkeypatch.setattr(module, "member_terms", counting(module.__name__))
         entries = example_spec.wi * len(example_wd_table) * 2000
         result = run_pipeline(example_spec, mode="envelope", points=2000,
                               wd_table=example_wd_table)
-        assert computed == {"trackbounds.envelope": entries}
-        emit(result, tmp_path)
-        assert computed == {"trackbounds.envelope": entries, "trackbounds.pipeline": entries}
-        computed.clear()
+        assert computed() == {"trackbounds.envelope": entries}
+        assert 1 < pipeline._child_split(result) <= example_spec.wi
+        emit(result, tmp_path / "out")
+        assert computed() == {"trackbounds.pipeline": entries}
         run_pipeline(example_spec, mode="low", wd_table=example_wd_table)
-        assert computed == {"trackbounds.envelope": 2 * len(example_wd_table)}
+        assert computed() == {"trackbounds.envelope": 2 * len(example_wd_table)}
 
     def test_mode_validation(self, example_spec):
         with pytest.raises(ValueError, match="mode"):
@@ -322,25 +334,168 @@ class TestEmit:
     def test_peak_memory_is_bounded(self, result_env, example_spec, example_wd_table,
                                     tmp_path):
         # wi * pairs * points = 750,000 bode_family.csv rows, written one
-        # member block and one CSV chunk at a time
+        # member block and one CSV chunk at a time; a forked child formats
+        # the last multipliers, which the same generator formats here again
+        # for its peak
         result = run_pipeline(dataclasses.replace(example_spec, wi=50), mode="envelope",
                               points=1500, wd_table=example_wd_table)
+        wi = result.spec.wi
+        split = pipeline._child_split(result)
+        assert 1 < split <= wi
+        blocks = list(family.member_blocks(result.wd, wi, result.grid.omegas))
         emit(result_env, tmp_path)  # a small emit first, so no first use is counted
         tracemalloc.start()
         try:
             emit(result, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            tracemalloc.reset_peak()
+            with open(tmp_path / "tail.csv", "w", encoding="ascii", newline="\n") as fh:
+                fh.writelines(pipeline._family_rows(result, blocks, range(split, wi + 1)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * family._BLOCK_ENTRIES + 2**20
+        assert max(peaks) <= 3 * 8 * family._BLOCK_ENTRIES + 2**20
 
     def test_repeat_emits_are_byte_identical(self, result_low, tmp_path):
-        first = emit(result_low, tmp_path / "a")
-        second = emit(result_low, tmp_path / "b")
-        for pa, pb in zip(first, second):
-            assert os.path.basename(pa) == os.path.basename(pb)
-            with open(pa, "rb") as fa, open(pb, "rb") as fb:
-                assert fa.read() == fb.read()
+        assert_same_files(emit(result_low, tmp_path / "a"), emit(result_low, tmp_path / "b"))
+
+
+@pytest.fixture(scope="module")
+def result_blocks(example_spec, example_wd_table):
+    """75,000 family rows in member blocks of multipliers 1-4 and 5, enough
+    for emit to fork."""
+    result = run_pipeline(example_spec, mode="envelope", points=1500, wd_table=example_wd_table)
+    blocks = family.member_blocks(result.wd, result.spec.wi, result.grid.omegas)
+    assert [list(block) for block in blocks] == [[1, 2, 3, 4], [5]]
+    assert pipeline._child_split(result) == 2
+    return result
+
+
+def assert_same_files(first: list, second: list):
+    assert [os.path.basename(p) for p in first] == [os.path.basename(p) for p in second]
+    for pa, pb in zip(first, second):
+        with open(pa, "rb") as fa, open(pb, "rb") as fb:
+            assert fa.read() == fb.read(), os.path.basename(pa)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedEmit:
+    """emit with bode_family.csv's last multipliers formatted by a forked child."""
+
+    @pytest.mark.parametrize("split", [None, 3, 5, 1],
+                             ids=["estimated", "inside-a-block", "on-a-block-edge",
+                                  "every-multiplier"])
+    def test_writes_the_in_process_bytes(self, result_blocks, tmp_path, monkeypatch, split):
+        monkeypatch.setattr(pipeline, "_child_split", lambda result: result.spec.wi + 1)
+        serial = emit(result_blocks, tmp_path / "serial")
+        monkeypatch.undo()
+        if split is not None:
+            monkeypatch.setattr(pipeline, "_child_split", lambda result: split)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        forked = emit(result_blocks, tmp_path / "forked")
+        assert len(forks) == 1
+        assert_same_files(serial, forked)
+        assert sorted(os.listdir(tmp_path / "forked")) == sorted(map(os.path.basename, serial))
+        assert_no_child()
+
+    def test_failing_child_fails_naming_emit(self, result_blocks, tmp_path, monkeypatch):
+        wi = result_blocks.spec.wi
+        member_rows = pipeline._member_rows
+
+        def failing(table, block, omegas, omega_reprs):
+            if wi in block:
+                raise RuntimeError("formatting failed")
+            return member_rows(table, block, omegas, omega_reprs)
+
+        monkeypatch.setattr(pipeline, "_member_rows", failing)
+        with pytest.raises(OSError, match=r"^emit: the child formatting bode_family.csv "
+                                          r"exited with status 1$"):
+            emit(result_blocks, tmp_path)
+        assert_no_child()
+
+    def test_failure_after_the_fork_leaves_no_child(self, result_blocks, tmp_path,
+                                                    monkeypatch):
+        def failing(trace):
+            raise RuntimeError("trace failed")
+
+        monkeypatch.setattr(pipeline, "_trace_csv", failing)
+        with pytest.raises(RuntimeError, match="trace failed"):
+            emit(result_blocks, tmp_path)
+        assert_no_child()
+        # the files written before the failure, and no temporary file
+        assert sorted(os.listdir(tmp_path)) == [
+            "bode_family.csv", "bode_lower.csv", "bode_upper.csv", "summary.txt", "wd_table.csv"]
+
+    def test_deadline_while_waiting_kills_the_child(self, result_blocks, tmp_path,
+                                                    monkeypatch):
+        # a signal handler that raises, as a SIGALRM deadline does, while
+        # emit waits for a child that would take a minute
+        wi = result_blocks.spec.wi
+        member_rows = pipeline._member_rows
+
+        def slow(table, block, omegas, omega_reprs):
+            if wi in block:
+                time.sleep(60)
+            return member_rows(table, block, omegas, omega_reprs)
+
+        class Deadline(Exception):
+            pass
+
+        def expire(signum, frame):
+            raise Deadline
+
+        monkeypatch.setattr(pipeline, "_member_rows", slow)
+        previous = signal.signal(signal.SIGALRM, expire)
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(Deadline):
+                emit(result_blocks, tmp_path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 30
+        assert_no_child()
+
+    @pytest.mark.parametrize("guard", ["thread", "no-fork"])
+    def test_formats_in_process_where_fork_is_unsafe(self, result_blocks, tmp_path,
+                                                     monkeypatch, guard):
+        forked = emit(result_blocks, tmp_path / "forked")
+
+        def no_fork():
+            raise AssertionError("emit forked")
+
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if guard == "thread":
+            monkeypatch.setattr(os, "fork", no_fork)
+            thread.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            serial = emit(result_blocks, tmp_path / "serial")
+        finally:
+            stop.set()
+            if guard == "thread":
+                thread.join(10)
+        assert not thread.is_alive()
+        assert_same_files(forked, serial)
+
+    def test_worked_example_is_formatted_in_process(self, result_env, tmp_path, monkeypatch):
+        # its 10,000 family rows are below the child's floor
+        assert pipeline._child_split(result_env) == result_env.spec.wi + 1
+
+        def no_fork():
+            raise AssertionError("emit forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        emit(result_env, tmp_path)
 
 
 def run_ok(capsys, args) -> str:
