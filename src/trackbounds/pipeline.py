@@ -57,6 +57,10 @@ _CSV_CHUNK_ROWS = 2**10
 _MIN_CHILD_ROWS = 2**14
 # bytes of the child's part of bode_family.csv copied at a time
 _COPY_BYTES = 2**18
+# emit's CPU cost, ns, of a bode_family.csv row, of a trace sample and of a
+# grid point of the other tables (26 floats in envelope mode): the median
+# over wide envelope families of the least of repeated timings, 2-vCPU VM
+_ROW_NS, _SAMPLE_NS, _POINT_NS = 1290, 1130, 16300
 
 
 @dataclass
@@ -326,16 +330,16 @@ def _child_split(result: PipelineResult) -> int:
     """First multiplier of bode_family.csv that a forked child formats, or
     wi + 1 for none.
 
-    The child takes about half of emit's repr calls: two per family row
-    and per trace sample, about 26 per grid point for the other tables. It
-    takes none when its share is under _MIN_CHILD_ROWS rows, when another
-    thread is alive (fork copies only the calling thread) or without
-    os.fork.
+    The child takes about half of emit's formatting, each family row,
+    trace sample and grid point weighed by its measured cost. It takes
+    none when its share is under _MIN_CHILD_ROWS rows, when another thread
+    is alive (fork copies only the calling thread) or without os.fork.
     """
     wi, points = result.spec.wi, len(result.grid)
     member = len(result.wd) * points
-    reprs = 2 * (wi * member + sum(len(t.times) for t in result.traces)) + 26 * points
-    count = min(wi, round(reprs / 4 / member))
+    samples = sum(len(t.times) for t in result.traces)
+    cost = _ROW_NS * wi * member + _SAMPLE_NS * samples + _POINT_NS * points
+    count = min(wi, round(cost / 2 / (_ROW_NS * member)))
     if (count * member < _MIN_CHILD_ROWS or threading.active_count() > 1
             or not hasattr(os, "fork")):
         return wi + 1

@@ -177,11 +177,13 @@ def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = No
 
 
 def gain_adjust(tf: RationalTF) -> RationalTF:
-    """Scale the numerator so the DC gain is 1."""
+    """Scale the numerator so the DC gain is 1; den, and so its poles, carry over."""
     g = dc_gain(tf)
     if g == 0:
         raise ValueError("zero DC gain cannot be rescaled")
-    return RationalTF(tf.num * (1.0 / g), tf.den)
+    adjusted = RationalTF(tf.num * (1.0 / g), tf.den)
+    vars(adjusted)["poles"] = tf.poles  # the cache RationalTF.poles fills on first use
+    return adjusted
 
 
 def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:

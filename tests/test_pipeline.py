@@ -111,11 +111,14 @@ class TestRunPipeline:
         assert result_env.fit_reports[0].max_mag_error < 0.25
         assert result_env.fit_reports[1].max_mag_error < 0.35
 
-    @pytest.mark.parametrize("mode, calls", [("low", 2), ("high", 2), ("envelope", 2)])
+    @pytest.mark.parametrize("mode, adjust_gain, calls", [
+        ("low", False, 2), ("high", False, 2), ("envelope", False, 2), ("envelope", True, 2),
+    ], ids=["low-2", "high-2", "envelope-2", "envelope-gain_adjust-2"])
     def test_each_bound_finds_its_poles_once(self, monkeypatch, example_spec,
-                                             example_wd_table, mode, calls):
+                                             example_wd_table, mode, adjust_gain, calls):
         # one call per bound: its transfer function keeps its poles for the
-        # stability check, the round trip and, in envelope mode, the cleanup
+        # stability check, the round trip and, in envelope mode, the cleanup;
+        # gain_adjust keeps den, so the rescaled bound keeps them too
         count = 0
         np_roots = np.roots
 
@@ -125,7 +128,7 @@ class TestRunPipeline:
             return np_roots(p)
 
         monkeypatch.setattr(np, "roots", counting_roots)
-        run_pipeline(example_spec, mode=mode, wd_table=example_wd_table)
+        run_pipeline(example_spec, mode=mode, wd_table=example_wd_table, adjust_gain=adjust_gain)
         assert count == calls
 
     def test_family_responses_are_made_once_per_emit(self, monkeypatch, example_spec,

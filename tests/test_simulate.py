@@ -1,6 +1,7 @@
 """Tests for step-response simulation and round-trip verification."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -323,13 +324,16 @@ class TestRoundTripContract:
                        ts=tr * 10 ** rng.uniform(-1, 2),
                        dev=10 ** rng.uniform(-3, np.log10(0.5)), wi=int(rng.integers(1, 30)))
 
-    def test_seeded_bounds_meet_the_spec_against_their_dc_gain(self):
+    @pytest.fixture(scope="class")
+    def seeded_tables(self):
+        return [(spec, build_wd(spec)) for spec in self.seeded_specs()]
+
+    def test_seeded_bounds_meet_the_spec_against_their_dc_gain(self, seeded_tables):
         # low and high mode pick whole family members, which meet the spec
         # by construction; every bound of a run that succeeds, envelope fits
         # at (0, 2) included, is measured against its exact DC gain
         worst, envelope_bounds = 0.0, 0
-        for spec in self.seeded_specs():
-            table = build_wd(spec)
+        for spec, table in seeded_tables:
             for mode in ("low", "high", "envelope"):
                 try:
                     result = run_pipeline(spec, mode=mode, wd_table=table)
@@ -345,6 +349,50 @@ class TestRoundTripContract:
                         worst = max(worst, m.mp / spec.mp, m.tr / spec.tr, m.ts / spec.ts)
         assert worst <= 1.001
         assert envelope_bounds >= 200
+
+    # The envelope bounds' known defects on the seeded set, counted in runs:
+    # how each run exits (the CLI's exit code and the failing stage), and of
+    # the runs that exit 0, those where a bound's simulated metric exceeds
+    # the spec by more than 1% (F1, per bound and metric, and in all), where
+    # the lower bound rises above the lower envelope or the upper bound falls
+    # below the upper one by more than 0.1 dB anywhere on the grid (F2), and
+    # where the lower bound's magnitude exceeds the upper bound's (F5). The
+    # counts pin today's defects so that they show: a change that moves one
+    # re-pins it and says why.
+    LEDGER = {
+        (0, 2): {"exit 0": 200, "F1 runs": 95, "F1 lower mp": 2, "F1 lower tr": 70,
+                 "F1 lower ts": 18, "F1 upper mp": 32, "F1 upper ts": 13, "F2 runs": 147,
+                 "F5 runs": 20},
+        (1, 2): {"exit 0": 16, "exit 2 in cleanup": 184, "F1 runs": 10, "F1 lower mp": 1,
+                 "F1 lower tr": 5, "F1 lower ts": 6, "F1 upper mp": 1, "F2 runs": 7,
+                 "F5 runs": 1},
+    }
+
+    @pytest.mark.parametrize("zeros, poles", LEDGER)
+    def test_envelope_defect_ledger(self, seeded_tables, zeros, poles):
+        counts = Counter()
+        for spec, table in seeded_tables:
+            try:
+                result = run_pipeline(spec, mode="envelope", zeros=zeros, poles=poles,
+                                      wd_table=table)
+            except (ValueError, NumericalError) as exc:
+                code = 1 if isinstance(exc, ValueError) else 2
+                counts[f"exit {code} in {str(exc).partition(':')[0]}"] += 1
+                continue
+            counts["exit 0"] += 1
+            final = result.final
+            misses = [f"F1 {side} {key}"
+                      for side, metrics in (("lower", final.lower), ("upper", final.upper))
+                      for key in ("mp", "tr", "ts")
+                      if getattr(metrics, key) > 1.01 * getattr(spec, key)]
+            counts.update(misses)
+            lower, upper = (rep.response.magnitude() for rep in result.fit_reports)
+            env_lower, env_upper = (rep.data.magnitude() for rep in result.fit_reports)
+            crossing_db = 20 * np.log10(max(np.max(lower / env_lower), np.max(env_upper / upper)))
+            counts["F1 runs"] += bool(misses)
+            counts["F2 runs"] += bool(crossing_db > 0.1)
+            counts["F5 runs"] += bool(np.any(lower > upper))
+        assert +counts == self.LEDGER[zeros, poles]
 
 
 class TestFinalTD:
