@@ -1,23 +1,20 @@
 """Time-domain metrics: crossing solvers, rise and settling times, and the
 metrics of a trace measured against the final value it is given.
 
-Crossings of the closed-form step response are solved by fifth-order Newton
-forward-difference inverse interpolation on six equally spaced samples: the
-interpolating quintic is inverted by Newton-Raphson from the secant
-estimate, and the sampling is refined until two successive estimates agree.
-A grid level whose Newton-Raphson iteration diverges, or whose estimate
-leaves the six-sample window, contributes no estimate and the next halving
-is tried, so every result is a converged Newton solution inside a window
-bracketing the root.
+Crossings of the closed-form unit step response are solved by bracketed
+Newton iteration on the closed form itself, whose exact derivative is the
+unit impulse response: each step keeps a window the response is monotone
+on, and a Newton step that would leave it is replaced by bisection. The
+crossings are solved in batches: every crossing of a damping sweep (the 10%
+and 90% crossings and the settling crossing of each damping ratio) is one
+row of numpy arrays, all rows take one Newton or bisection step per pass,
+and a converged row leaves the batch. A single rise or settling time is a
+batch of one damping ratio.
 
-The crossings are solved in batches: every crossing of a damping sweep (the
-10% and 90% crossings and the settling crossing of each damping ratio) is one
-row of numpy arrays, all rows advance one refinement level at a time, and a
-converged row leaves the batch. A level samples only the fine-grid points
-around the bracket its row found at the level before, so each level costs
-the same per row at any depth; those points equal the ones np.linspace would
-place over the whole window. A single rise or settling time is a batch of
-one damping ratio.
+Crossings of sampled data are read by the paper's fifth-order Newton
+forward-difference inverse interpolation on six equally spaced samples
+(newton_inverse_interp): the interpolating quintic is inverted by
+Newton-Raphson from the secant estimate.
 
 A sweep's unit-frequency rise times (t90 - t10) and settling times are kept
 in a bounded cache keyed by the exact damping grid and the band's dev. Rise
@@ -51,19 +48,13 @@ __all__ = [
 # Newton-Raphson on the normalized abscissa u: stop when a step is this small
 _NR_TOL = 1e-10
 _NR_MAXIT = 100
-# outer grid refinement: stop when consecutive halvings agree this closely.
-# Looser, two coarse levels can agree while sharing one interpolation error:
-# at 1e-6 the rise time near zeta = 0.6 was off by 2.5e-7
-_REFINE_TOL = 1e-8
-# level L places 5 * 2**L + 1 points on the window; the unit step responses'
-# crossings need at most 13 levels for zeta in [1e-4, 0.99999]
-_REFINE_MAX_LEVELS = 20
 # the step response reaches 0.9 by t = 4 for every zeta in (0, 1): at least
 # 0.908, the critically damped 1 - 5 exp(-4)
 _RISE_WINDOW = 4.0
-# points of a level evaluated per row, centred on the previous level's
-# bracket: the six-sample window needs seven of them, the rest is margin
-_LOCAL_SAMPLES = 17
+# passes of the bracketed Newton iteration: bisection alone narrows any
+# window to a few ulps in about 64, and the unit step responses' crossings
+# need at most 18 for zeta in [1e-4, 0.99999] and dev in [0.001, 0.9]
+_MAX_PASSES = 100
 # damping grids whose unit-frequency times are kept. The benchmark's sweep
 # cycles 30 grids (5 mp x 3 dev x 2 steps), and an LRU smaller than its cycle
 # misses every time; 128 leaves room for a designer's own grids. At the
@@ -213,52 +204,45 @@ def _crossings(zeta, lo, hi, target):
     """Crossing of target[r] by the unit step response of zeta[r], per row r.
 
     The response must be monotone through the crossing on [lo[r], hi[r]].
-    Level L places n = 5 * 2**L + 1 points on each window by their offset
-    from lo, so that far from t = 0 they are as evenly spaced as near it. It
-    evaluates only _LOCAL_SAMPLES of them, around twice the previous level's
-    bracket, the position of the same point on the halved grid. Raises
-    NumericalError unless every row converges within _REFINE_MAX_LEVELS.
+    Each pass evaluates the closed form y and its exact derivative, the unit
+    impulse response exp(-zeta t) sin(wd t) / wd, at one point t per row;
+    the sign of y - target says which end of the row's window t replaces.
+    The next point is t's Newton step where that lands strictly inside the
+    window and the window's midpoint otherwise; the first is the secant of
+    the window's ends. A row is solved at t when y equals the
+    target or either its Newton step or its next point is within two ulps of
+    t. Raises NumericalError unless every row is solved within _MAX_PASSES.
     """
     zeta, lo, hi, target = (np.asarray(a, dtype=float) for a in (zeta, lo, hi, target))
     result = np.full(zeta.shape, np.nan)
     # per live row: its index in result, its closed form's coefficients
-    # (decay, root = wd, phi), window, target, the sign that makes the
-    # response increase through the crossing, the level's np.searchsorted
-    # index of the target and the last estimate
+    # (decay = -zeta, root = wd, phi), window, target and the sign that
+    # makes the response increase through the crossing
     row = np.arange(zeta.size)
-    root = np.sqrt(1 - zeta * zeta)
-    coef = np.stack([-zeta, root, root, [math.acos(z) for z in zeta.tolist()]], axis=1)
-    bracket = np.zeros(zeta.shape, dtype=np.intp)
-    prev = np.full(zeta.shape, np.nan)
-    span = hi - lo
-    for level in range(_REFINE_MAX_LEVELS):
-        if row.size == 0:
-            break
-        n = 5 * 2**level + 1
-        width = min(n, _LOCAL_SAMPLES)
-        first = np.minimum(np.maximum(2 * bracket - _LOCAL_SAMPLES // 2, 0), n - width)
-        idx = first[:, None] + np.arange(width)
-        # np.linspace(0, span, n)[idx]: idx * step, and the last point is span
-        ds = np.where(idx == n - 1, span[:, None], idx * (span / (n - 1))[:, None])
-        fs = closed_form_step(*coef.T[:, :, None], lo[:, None] + ds)
-        if level == 0:  # the only level whose samples include both ends of every window
-            sign = np.where(fs[:, -1] >= fs[:, 0], 1.0, -1.0)
-        bracket = first + np.count_nonzero((sign[:, None] * fs) < (sign * target)[:, None],
-                                           axis=1)
-        pick = (np.arange(row.size)[:, None],
-                np.minimum(np.maximum(bracket - first - 3, 0), width - 6)[:, None] + np.arange(6))
-        d6 = ds[pick]
-        # a level whose Newton solve fails, or lands outside the six samples
-        # around the crossing, records no estimate: the next level retries
-        d_hat, status = _invert_rows(d6, fs[pick], target)
-        found = (status == _OK) & (d6[:, 0] <= d_hat) & (d_hat <= d6[:, 5])
-        t_hat = lo + d_hat
-        done = found & (np.abs(t_hat - prev) < _REFINE_TOL)
-        result[row[done]] = t_hat[done]
-        prev = np.where(found, t_hat, prev)
-        keep = ~done
-        row, coef, lo, span, target, sign, bracket, prev = (
-            a[keep] for a in (row, coef, lo, span, target, sign, bracket, prev))
+    wd = np.sqrt(1 - zeta * zeta)
+    phi = np.array([math.acos(z) for z in zeta.tolist()])
+    y_lo, y_hi = closed_form_step(-zeta, wd, wd, phi, np.stack([lo, hi])) - target
+    sign = np.where(y_hi >= y_lo, 1.0, -1.0)
+    # a zero derivative, at a window's end, or a non-finite value only sends
+    # its row to the midpoint
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = lo - y_lo * (hi - lo) / (y_hi - y_lo)
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        for _ in range(_MAX_PASSES):
+            if row.size == 0:
+                break
+            y = closed_form_step(-zeta, wd, wd, phi, t) - target
+            below, above = sign * y < 0, sign * y > 0
+            lo = np.where(below, t, lo)
+            hi = np.where(above, t, hi)
+            newton = t - y * wd / (np.exp(-zeta * t) * np.sin(wd * t))
+            nxt = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            close = np.minimum(np.abs(newton - t), np.abs(nxt - t)) <= 2 * np.spacing(t)
+            done = (y == 0) | ((below | above) & close)
+            result[row[done]] = t[done]
+            keep = ~done
+            row, zeta, wd, phi, lo, hi, target, sign, t = (
+                a[keep] for a in (row, zeta, wd, phi, lo, hi, target, sign, nxt))
     if row.size:
         raise NumericalError("crossing search did not converge")
     return result

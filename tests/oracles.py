@@ -6,10 +6,10 @@ crossings are located by plain bisection (plus a dense linear scan for the
 settling search), so agreement with the package is meaningful. Polynomials
 are evaluated by a Horner loop over Python complex numbers. The RK4
 reference steps the simulator's affine map one step at a time, the plain
-loop the package's block propagation must reproduce, and the crossing
-references solve one crossing at a time on the whole sampled window, the
-plain loops the package's batched crossing solver must reproduce; the modal step
-response is exact. The family members are built one transfer function at
+loop the package's block propagation must reproduce, and the inverse
+interpolation reference solves one row of six samples at a time, the plain
+loop the package's row solver must reproduce; the modal step response is
+exact. The family members are built one transfer function at
 a time, and the family's complex responses, broadcast in the operation
 order of the package's Horner rule, equal theirs entry for entry; the
 package's closed-form member terms and envelopes must reproduce those
@@ -143,34 +143,6 @@ def loop_newton_inverse(times, values, target):
             return None
         if abs(step) < 1e-10:
             return t[0] + u * h
-    return None
-
-
-def loop_refined_crossing(f, lo, hi, target):
-    """Crossing of target by f on [lo, hi], refining the whole window.
-
-    Level L samples all 5 * 2**L + 1 points of np.linspace over the window
-    (by their offset from lo) and solves the six around the crossing with
-    loop_newton_inverse, until two successive estimates agree within 1e-8,
-    for at most 20 levels: the results the package's batched solver, which
-    evaluates only the points near each crossing, must reproduce bit for
-    bit. Returns None if no two estimates agree.
-    """
-    prev = None
-    for level in range(20):
-        n = 5 * 2**level + 1
-        ds = np.linspace(0.0, hi - lo, n)
-        fs = f(lo + ds)
-        sign = 1.0 if fs[-1] >= fs[0] else -1.0
-        j = int(np.searchsorted(sign * fs, sign * target))
-        w = min(max(j - 3, 0), n - 6)
-        d_hat = loop_newton_inverse(ds[w:w + 6], fs[w:w + 6], target)
-        if d_hat is None or not ds[w] <= d_hat <= ds[w + 5]:
-            continue
-        t_hat = lo + d_hat
-        if prev is not None and abs(t_hat - prev) < 1e-8:
-            return float(t_hat)
-        prev = t_hat
     return None
 
 

@@ -17,10 +17,10 @@ STDOUT_SHA256 = {
     "01_second_order_basics": "6ab206529a5205e7e06b1d696817db13b77ee4ec68bc31d92ecf5b3f57973568",
     "02_timing_inverse_interpolation":
         "50ed1e663a890c33c4220ff7387e66eb3be6114dfd2cababdb5e00efd9d6565c",
-    "03_wd_sweep_and_families": "2e115b2e5611e2640c8e5c09eccd76150417a090ce3449eaa345fabc7bc3be5b",
+    "03_wd_sweep_and_families": "4a1841e6720d9a6038c72892005084ade7aa992ffe6f30b629bf703e6afdb944",
     "04_restriction_modes": "946f60a9a2954291c2929eb1a1265112ac57798bab669c410d38482cc4d8cc16",
     "05_envelope_rational_fit": "336af8a90b4111e94f9430e7e6d1649ea0d5a805427902285afbd16ebca43640",
-    "06_full_pipeline": "ce7319b219c8d743dca8fc36d9289e16413a2c138d6948183a21c97894754d22",
+    "06_full_pipeline": "995b511a196036f639fa6073d533e154aaa8196fd1fc9f7bdf4128172a6c166c",
 }
 
 

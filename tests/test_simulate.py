@@ -363,9 +363,8 @@ class TestRoundTripContract:
         (0, 2): {"exit 0": 200, "F1 runs": 95, "F1 lower mp": 2, "F1 lower tr": 70,
                  "F1 lower ts": 18, "F1 upper mp": 32, "F1 upper ts": 13, "F2 runs": 147,
                  "F5 runs": 20},
-        (1, 2): {"exit 0": 16, "exit 2 in cleanup": 184, "F1 runs": 10, "F1 lower mp": 1,
-                 "F1 lower tr": 5, "F1 lower ts": 6, "F1 upper mp": 1, "F2 runs": 7,
-                 "F5 runs": 1},
+        (1, 2): {"exit 0": 11, "exit 2 in cleanup": 189, "F1 runs": 8, "F1 lower tr": 5,
+                 "F1 lower ts": 4, "F1 upper mp": 1, "F2 runs": 7, "F5 runs": 1},
     }
 
     @pytest.mark.parametrize("zeros, poles", LEDGER)
