@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count
 from .family import WdTable, member_blocks, member_terms
 from .sos_core import make_tf, scale_omega
 from .tf_model import FrequencyGrid, FrequencyResponse, RationalTF
@@ -53,11 +53,10 @@ def make_grid(w_min: float, w_max: float, points: int) -> FrequencyGrid:
         raise ValueError("minimum frequency must be positive")
     if not (math.isfinite(w_max) and w_max > w_min):
         raise ValueError("maximum frequency must exceed the minimum")
-    if points < 2:
-        raise ValueError("grid needs at least two points")
+    points = check_count(points, 2, "grid point count")
     if points > _MAX_GRID_POINTS:
         raise NumericalError(f"{points} grid points are over the budget of {_MAX_GRID_POINTS}")
-    return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), int(points)))
+    return FrequencyGrid(np.logspace(math.log10(w_min), math.log10(w_max), points))
 
 
 def _check_magnitudes(what: str, mags: np.ndarray) -> np.ndarray:

@@ -11,11 +11,10 @@ are read in closed form, a block of consecutive multipliers at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count
 from .sos_core import SecondOrderParams, zeta_min
 from .timing import ToleranceBand, omega_ns_for
 
@@ -67,9 +66,7 @@ class Spec:
             raise ValueError("settling time must be positive")
         if not 0 < self.dev < 1:
             raise ValueError("tolerance band must be a fraction in (0, 1)")
-        if not isinstance(self.wi, Integral) or isinstance(self.wi, bool) or self.wi < 1:
-            raise ValueError("frequency multiplier count must be an integer >= 1")
-        object.__setattr__(self, "wi", int(self.wi))
+        object.__setattr__(self, "wi", check_count(self.wi, 1, "frequency multiplier count"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +127,7 @@ def member_blocks(table: WdTable, wi: int, omegas):
     Checks wi, and the budget of wi * pairs * points family entries, when
     called: before any member is computed.
     """
-    if not isinstance(wi, Integral) or isinstance(wi, bool) or wi < 1:
-        raise ValueError("frequency multiplier count must be an integer >= 1")
-    wi, member = int(wi), len(table) * np.size(omegas)
+    wi, member = check_count(wi, 1, "frequency multiplier count"), len(table) * np.size(omegas)
     if (entries := wi * member) > _MAX_FAMILY_ENTRIES:
         raise NumericalError(f"{entries} family entries exceed the budget of {_MAX_FAMILY_ENTRIES}")
     step = max(1, _BLOCK_ENTRIES // member)

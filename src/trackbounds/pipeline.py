@@ -398,8 +398,8 @@ def emit(result: PipelineResult, out_dir) -> list:
     wi = result.spec.wi
     with _stage("emit"):
         family_blocks = list(member_blocks(result.wd, wi, result.grid.omegas))
+        os.makedirs(out_dir, exist_ok=True)
     split = _child_split(result)
-    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def write(name: str, chunks):

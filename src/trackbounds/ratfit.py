@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count
 from .tf_model import FrequencyResponse, RationalTF, dc_gain, eval_poly, freq_response, roots
 
 __all__ = [
@@ -46,9 +46,9 @@ class FitProblem:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("at least one pole is required")
-        if not 0 <= self.n <= self.m:
+        check_count(self.m, 1, "denominator degree")
+        check_count(self.n, 0, "numerator degree")
+        if self.n > self.m:
             raise ValueError("numerator degree must not exceed denominator degree")
         if len(self.data) < self.m + self.n + 1:
             raise ValueError("not enough frequency samples for the requested orders")

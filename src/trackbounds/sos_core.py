@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
+from .errors import check_count
 from .tf_model import RationalTF
 
 __all__ = [
@@ -85,8 +85,5 @@ def make_tf(params: SecondOrderParams) -> RationalTF:
 
 def scale_omega(params: SecondOrderParams, i) -> SecondOrderParams:
     """Same damping, natural frequency multiplied by the integer i >= 1."""
-    if not isinstance(i, Integral) or isinstance(i, bool):
-        raise ValueError("frequency multiplier must be an integer >= 1")
-    if i < 1:
-        raise ValueError("frequency multiplier must be an integer >= 1")
-    return SecondOrderParams(params.omega_n * int(i), params.zeta)
+    i = check_count(i, 1, "frequency multiplier")
+    return SecondOrderParams(params.omega_n * i, params.zeta)

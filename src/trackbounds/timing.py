@@ -11,10 +11,10 @@ row of numpy arrays, all rows take one Newton or bisection step per pass,
 and a converged row leaves the batch. A single rise or settling time is a
 batch of one damping ratio.
 
-Crossings of sampled data are read by the paper's fifth-order Newton
-forward-difference inverse interpolation on six equally spaced samples
-(newton_inverse_interp): the interpolating quintic is inverted by
-Newton-Raphson from the secant estimate.
+A crossing of sampled data is read by the paper's fifth-order Newton
+forward-difference inverse interpolation on one window of six equally
+spaced samples (newton_inverse_interp): the interpolating quintic is
+inverted by Newton-Raphson from the secant estimate, in Python floats.
 
 A sweep's unit-frequency rise times (t90 - t10) and settling times are kept
 in a bounded cache keyed by the exact damping grid and the band's dev. Rise
@@ -61,19 +61,6 @@ _MAX_PASSES = 100
 # largest sweep (family._MAX_WD_PAIRS = 1000 pairs) an entry holds an 8 KB
 # key and two 8 KB arrays, so a full cache holds about 3 MB
 _UNIT_TIMES_CACHE = 128
-# the factors u - (k - 1) and the k! of the Newton forward-difference basis, k = 1..5
-_SHIFTS = np.arange(5.0)[:, None]
-_FACTORIALS = np.array([1.0, 2.0, 6.0, 24.0, 120.0])[:, None, None]
-
-# why a row of samples gave no estimate, and what a single call raises for it
-_OK, _UNEVEN, _UNBRACKETED, _FLAT_DIFF, _FLAT_INTERP, _DIVERGED = range(6)
-_FAILURES = {
-    _UNEVEN: (ValueError, "samples must be equally spaced in time"),
-    _UNBRACKETED: (ValueError, "target is not bracketed by the samples"),
-    _FLAT_DIFF: (NumericalError, "inverse interpolation diverged: flat first difference"),
-    _FLAT_INTERP: (NumericalError, "inverse interpolation diverged: flat interpolant"),
-    _DIVERGED: (NumericalError, "inverse interpolation diverged"),
-}
 
 
 @dataclass(frozen=True)
@@ -104,100 +91,63 @@ class TimeDomainMetrics:
 
 
 def newton_inverse_interp(times, values, target) -> float:
-    """Solve f(t) = target from six equally spaced (t, f) samples.
+    """Solve f(t) = target from one window of six equally spaced (t, f) samples.
 
     Builds the fifth-order Newton forward-difference polynomial and inverts
     it by Newton-Raphson on the normalized abscissa u, starting from the
     secant estimate; the derivative is accumulated in the same product loop
-    as the value. Unequal spacing, an unbracketed target or an iteration
-    that fails to settle within 100 steps raise ValueError or
-    NumericalError.
+    as the value, in Python floats, which never warn. Unequal spacing or an
+    unbracketed target raise ValueError; a flat first difference or
+    interpolant, or an iteration that leaves |u| <= 1e6 or fails to settle
+    within 100 steps, raise NumericalError.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(values, dtype=float)
     if t.shape != (6,) or f.shape != (6,):
         raise ValueError("exactly six samples are required")
-    est, status = _invert_rows(t[None], f[None], np.array([target], dtype=float))
-    if status[0] != _OK:
-        error, message = _FAILURES[int(status[0])]
-        raise error(message)
-    return float(est[0])
+    t, f, target = t.tolist(), f.tolist(), float(np.asarray(target, dtype=float))
+    h = t[1] - t[0]
+    # every spacing within atol + rtol*|h| of h, with rtol = 1e-9 and atol =
+    # 1e-12*max(1, |t0|, |t5|): sample times round in proportion to their
+    # size; a NaN spacing or an infinite time fails the test
+    tol = 1e-12 * max(1.0, abs(t[0]), abs(t[5])) + 1e-9 * abs(h)
+    if not (h > 0 and math.isfinite(tol)
+            and all(abs((b - a) - h) <= tol for a, b in zip(t, t[1:]))):
+        raise ValueError("samples must be equally spaced in time")
+    # min() is NaN when the first sample is NaN, and otherwise blind to NaN
+    if not min(f) <= target <= max(f):
+        raise ValueError("target is not bracketed by the samples")
 
-
-def _invert_rows(t, f, target):
-    """Newton inverse interpolation of each row of six (t, f) samples.
-
-    Returns the estimates, NaN where a row fails, and each row's status: _OK
-    or the key of its failure in _FAILURES.
-    """
-    est = np.full(len(t), np.nan)
-    status = np.full(len(t), _OK)
-    # rows that fail compute garbage until they are dropped; only the status
-    # says whether a row failed
-    with np.errstate(all="ignore"):
-        h = t[:, 1] - t[:, 0]
-        # every spacing within atol + rtol*|h| of h, with rtol = 1e-9 and atol
-        # = 1e-12*max(1, |t0|, |t5|): sample times round in proportion to
-        # their size; a NaN spacing or an infinite time fails the test
-        tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(t[:, 0]), np.abs(t[:, 5])))
-        tol += 1e-9 * np.abs(h)
-        spaced = ((h > 0) & np.isfinite(tol)
-                  & np.all(np.abs(np.diff(t, axis=1) - h[:, None]) <= tol[:, None], axis=1))
-        # min() and max() of the samples as Python takes them: NaN when the
-        # first is NaN, otherwise blind to NaN
-        bracketed = ((np.fmin.reduce(f, axis=1) <= target) & (target <= np.fmax.reduce(f, axis=1))
-                     & ~np.isnan(f[:, 0]))
-
-        # forward differences of increasing order, taken at the first sample
-        col = f
-        diffs = [col[:, 0]]
-        for _ in range(5):
-            col = col[:, 1:] - col[:, :-1]
-            diffs.append(col[:, 0])
-        d = np.array(diffs)
-        status[d[1] == 0] = _FLAT_DIFF
-        status[~bracketed] = _UNBRACKETED
-        status[~spaced] = _UNEVEN
-
-        rows = np.flatnonzero(status == _OK)
-        u = (target[rows] - d[0, rows]) / d[1, rows]
-        # from a non-finite secant start the iteration can only diverge
-        finite = np.isfinite(u)
-        status[rows[~finite]] = _DIVERGED
-        rows, u = rows[finite], u[finite]
-        for _ in range(_NR_MAXIT):
-            if rows.size == 0:
-                break
-            dr = d[:, rows]
-            # p(u) - target and p'(u) on the basis prod_{i<k} (u - i) / k!:
-            # basis[k-1] holds that product and its derivative, accumulated
-            # factor by factor and summed term by term in the order of k
-            shifted = u - _SHIFTS
-            basis = np.empty((5, 2, rows.size))
-            shifted.cumprod(axis=0, out=basis[:, 0])
-            basis[0, 1] = 1.0
-            for k in range(1, 5):
-                np.multiply(basis[k - 1, 1], shifted[k], out=basis[k, 1])
-                basis[k, 1] += basis[k - 1, 0]
-            basis /= _FACTORIALS
-            basis *= dr[1:, None]
-            acc = np.zeros((2, rows.size))
-            np.subtract(dr[0], target[rows], out=acc[0])
-            for term in basis:
-                acc += term
-            g, dg = acc
-            step = g / dg
-            u = u - step
-            flat = dg == 0
-            failed = flat | ~(np.abs(u) <= 1e6)  # a non-finite u fails too
-            done = ~failed & (np.abs(step) < _NR_TOL)
-            status[rows[failed]] = np.where(flat[failed], _FLAT_INTERP, _DIVERGED)
-            solved = rows[done]
-            est[solved] = t[solved, 0] + u[done] * h[solved]
-            going = ~(failed | done)
-            rows, u = rows[going], u[going]
-        status[rows] = _DIVERGED
-    return est, status
+    # forward differences of increasing order, taken at the first sample
+    diffs = [f[0]]
+    col = f
+    for _ in range(5):
+        col = [b - a for a, b in zip(col, col[1:])]
+        diffs.append(col[0])
+    if diffs[1] == 0:
+        raise NumericalError("inverse interpolation diverged: flat first difference")
+    # a non-finite secant start makes dg NaN, so the first step diverges
+    u = (target - diffs[0]) / diffs[1]
+    for _ in range(_NR_MAXIT):
+        # p(u) - target and p'(u) on the basis prod_{i<k} (u - i) / k!: the
+        # product and its derivative are accumulated factor by factor and
+        # the terms summed in the order of k
+        g, dg = diffs[0] - target, 0.0
+        prod, dprod = 1.0, 0.0
+        for k, fact in enumerate((1.0, 2.0, 6.0, 24.0, 120.0), start=1):
+            dprod = dprod * (u - (k - 1)) + prod
+            prod *= u - (k - 1)
+            g += prod / fact * diffs[k]
+            dg += dprod / fact * diffs[k]
+        if dg == 0:
+            raise NumericalError("inverse interpolation diverged: flat interpolant")
+        step = g / dg
+        u -= step
+        if not abs(u) <= 1e6:  # a non-finite u fails too
+            break
+        if abs(step) < _NR_TOL:
+            return t[0] + u * h
+    raise NumericalError("inverse interpolation diverged")
 
 
 def _crossings(zeta, lo, hi, target):

@@ -7,9 +7,9 @@ settling search), so agreement with the package is meaningful. Polynomials
 are evaluated by a Horner loop over Python complex numbers. The RK4
 reference steps the simulator's affine map one step at a time, the plain
 loop the package's block propagation must reproduce, and the inverse
-interpolation reference solves one row of six samples at a time, the plain
-loop the package's row solver must reproduce; the modal step response is
-exact. The family members are built one transfer function at
+interpolation reference spells out, step by step, the operation order the
+package's scalar solver must reproduce bit for bit; the modal step response
+is exact. The family members are built one transfer function at
 a time, and the family's complex responses, broadcast in the operation
 order of the package's Horner rule, equal theirs entry for entry; the
 package's closed-form member terms and envelopes must reproduce those
@@ -102,8 +102,8 @@ def loop_newton_inverse(times, values, target):
 
     The fifth-order forward-difference quintic inverted by Newton-Raphson
     from the secant start, with the same checks, in Python floats one
-    sample at a time: the arithmetic the package's row solver must
-    reproduce bit for bit. Returns None where the package fails a row.
+    sample at a time: the arithmetic newton_inverse_interp must reproduce
+    bit for bit. Returns None where newton_inverse_interp raises.
     """
     t = [float(x) for x in times]
     f = [float(x) for x in values]

@@ -44,6 +44,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(0.1, 10.0, 1)
 
+    def test_point_count_must_be_an_integer(self):
+        for points in (200.9, 10.0, True):
+            with pytest.raises(ValueError, match="grid point count must be an integer >= 2"):
+                make_grid(0.01, 100.0, points)
+        assert make_grid(0.01, 100.0, np.int64(7)).omegas.size == 7
+
 
 def assert_envelope_equals(env, ref):
     """Same magnitudes to rtol 1e-14 and phases to 1e-14 rad."""

@@ -176,6 +176,15 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="^grid: "):
             run_pipeline(example_spec, w_min=10.0, w_max=1.0)
 
+    @pytest.mark.parametrize("counts, stage", [
+        ({"points": 200.9}, "grid"), ({"poles": 2.5}, "fit"), ({"poles": True}, "fit"),
+        ({"zeros": 0.0}, "fit"),
+    ])
+    def test_non_integral_counts_fail_in_their_stage(self, example_spec, example_wd_table,
+                                                     counts, stage):
+        with pytest.raises(ValueError, match=f"^{stage}: .* must be an integer"):
+            run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table, **counts)
+
 
 class TestSummary:
     @pytest.mark.parametrize("which", ["low", "high", "env"])
@@ -609,6 +618,13 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("trackbounds: numerical failure: emit: ")
         assert not (tmp_path / "run").exists()
+
+    def test_unwritable_out_directory_fails_naming_emit(self, capsys, tmp_path, example_wd_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(self.BASE + ["--wd-table", str(example_wd_path), "--out", str(taken)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("trackbounds: i/o failure: emit: ")
 
     def test_gain_adjust_rescues_negative_dc_gain(self, capsys):
         # rescaling to unit DC gain flips the sign the cleanup left behind

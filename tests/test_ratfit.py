@@ -44,6 +44,14 @@ class TestFitProblem:
         with pytest.raises(ValueError):
             FitProblem(data, 0, 0)
 
+    def test_degrees_must_be_integers(self):
+        grid = make_grid(0.1, 10.0, 20)
+        data = FrequencyResponse(grid, np.ones(20, dtype=complex))
+        for n, m in ((0, 2.5), (0, True), (0, 2.0), (0.5, 2), (True, 2)):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                FitProblem(data, n, m)
+        FitProblem(data, np.int64(0), np.int64(1))
+
     def test_sample_count_validation(self):
         grid = make_grid(0.1, 10.0, 4)
         data = FrequencyResponse(grid, np.ones(4, dtype=complex))

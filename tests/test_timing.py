@@ -133,40 +133,69 @@ class TestNewtonInverseInterp:
         t_hat = newton_inverse_interp(t, 2.0 * (t - lo), hi - lo)
         assert abs(t_hat - (lo + hi) / 2) <= 1e-10 * hi
 
-    def test_rows_match_single_calls(self):
+    def test_windows_match_loop_oracle(self):
         rng = np.random.default_rng(83)
-        times, values, targets = [], [], []
         for _ in range(12):
             zeta = float(rng.uniform(0.1, 0.99))
             t = float(rng.uniform(0.2, 2.0)) + 0.1 * np.arange(6.0)
-            times.append(t)
-            values.append(step_value(SecondOrderParams(1.0, zeta), t))
-            targets.append(float(rng.uniform(values[-1][0], values[-1][-1])))
-        t = np.arange(6.0)
-        failing = [  # unequal spacing, an infinite time, unbracketed, flat, diverging
-            (np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.5]), t, 2.0),
-            (np.array([0.0, 1.0, 2.0, 3.0, 4.0, np.inf]), t, 2.0),
-            (t, t, 9.0),
-            (t, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), 0.5),
-            (t, np.array([0.0, 1e-300, 1.0, -1e300, 1e300, 1.0]), 0.5),
-        ]
-        for tf, ff, target in failing:
-            times.append(tf)
-            values.append(ff)
-            targets.append(target)
-        rows, status = timing._invert_rows(np.array(times), np.array(values), np.array(targets))
-        assert rows.shape == status.shape == (len(times),)
-        for k, (tf, ff, target) in enumerate(zip(times, values, targets)):
-            ref = oracles.loop_newton_inverse(tf, ff, target)
-            assert np.isnan(rows[k]) if ref is None else rows[k] == ref
-            try:
-                assert rows[k] == newton_inverse_interp(tf, ff, target)
-            except (ValueError, NumericalError):
-                assert np.isnan(rows[k])
-        assert np.isnan(rows[-len(failing):]).all()
-        assert np.isfinite(rows[:-len(failing)]).all()
-        assert (status[:-len(failing)] == timing._OK).all()
-        assert (status[-len(failing):] != timing._OK).all()
+            f = step_value(SecondOrderParams(1.0, zeta), t)
+            target = float(rng.uniform(f[0], f[-1]))
+            ref = oracles.loop_newton_inverse(t, f, target)
+            assert ref is not None
+            assert newton_inverse_interp(t, f, target) == ref
+
+    @pytest.mark.parametrize("times, values, target, error, message", [
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.5], None, 2.0, ValueError, "equally spaced"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, np.inf], None, 2.0, ValueError, "equally spaced"),
+        (None, None, 9.0, ValueError, "not bracketed"),
+        # min() and max() take a NaN first sample as the extreme
+        (None, [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0], 2.0, ValueError, "not bracketed"),
+        (None, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 0.5, NumericalError, "flat first difference"),
+        (None, [-3.0, -2.0, -1.0, 0.0, 1.0, -3.0], 1.0, NumericalError, "flat interpolant"),
+        (None, [0.0, 1e-300, 1.0, -1e300, 1e300, 1.0], 0.5, NumericalError, "diverged$"),
+    ])
+    def test_failing_windows_raise(self, times, values, target, error, message):
+        t = np.arange(6.0) if times is None else np.array(times)
+        f = t if values is None else np.array(values)
+        assert oracles.loop_newton_inverse(t, f, target) is None
+        with pytest.raises(error, match=message):
+            newton_inverse_interp(t, f, target)
+
+    def test_seeded_windows_match_loop_oracle(self):
+        # step windows, monotone and rough data of any scale with infinite
+        # and NaN samples, and near-uniform times far from t = 0
+        rng = np.random.default_rng(2311)
+        solved = 0
+        for k in range(2000):
+            kind = k % 4
+            t0 = float(rng.choice([0.0, 1.0, -1.0])) * 10 ** rng.uniform(-3, 5)
+            t = t0 + 10 ** rng.uniform(-4, 1) * np.arange(6.0)
+            t *= 1 + rng.choice([0.0, 0.0, 1e-16, 1e-13, 1e-10, 1e-7]) * rng.uniform(-1, 1, 6)
+            if kind == 0:
+                f = step_value(SecondOrderParams(1.0, float(rng.uniform(0.05, 0.99))),
+                               float(rng.uniform(0.0, 3.0)) + 0.2 * np.arange(6.0))
+            elif kind == 1:
+                f = 10 ** rng.uniform(-300, 300) * np.cumsum(rng.uniform(0.0, 1.0, 6))
+            else:
+                f = 10 ** rng.uniform(-10, 10) * rng.normal(size=6)
+            if kind == 3:
+                f[rng.integers(6)] = rng.choice([np.inf, -np.inf, np.nan])
+            lo, hi = np.sort(f[np.isfinite(f)])[[0, -1]].tolist()
+            if rng.random() < 0.9:
+                w = float(rng.random())
+                target = lo * (1 - w) + hi * w
+            else:
+                target = float(rng.normal()) * 10 ** float(rng.uniform(-3, 3))
+            ref = oracles.loop_newton_inverse(t, f, target)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if ref is None:
+                    with pytest.raises((ValueError, NumericalError)):
+                        newton_inverse_interp(t, f, target)
+                else:
+                    assert newton_inverse_interp(t, f, target) == ref
+                    solved += 1
+        assert 500 < solved < 1900
 
 
 def solver_passes(monkeypatch):
