@@ -29,7 +29,7 @@ from .envelope import BoundPair, envelope_of, make_grid, select_restricted
 from .errors import NumericalError
 from .family import (Spec, WdTable, build_wd, format_wd_table, member_blocks, member_terms,
                      parse_wd_table)
-from .ratfit import FitProblem, FitReport, cleanup, fit, gain_adjust, report
+from .ratfit import FitProblem, FitReport, check_orders, cleanup, fit, gain_adjust, report
 from .simulate import FinalTD, StepTrace, round_trip
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
 from .timing import TimeDomainMetrics
@@ -103,6 +103,9 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
         grid = make_grid(w_min, w_max, points)
     with _stage("wd_table"):
         table = wd_table if wd_table is not None else build_wd(spec, zeta_step)
+    # checked in every mode, though only envelope mode fits
+    with _stage("fit"):
+        check_orders(zeros, poles)
 
     fit_reports = None
     if mode in ("low", "high"):

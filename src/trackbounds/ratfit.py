@@ -37,6 +37,14 @@ _COND_LIMIT = 1e12
 _MAX_FIT_ENTRIES = 2**22
 
 
+def check_orders(n, m) -> None:
+    """ValueError unless m is an integer >= 1 and n an integer in [0, m]."""
+    check_count(m, 1, "denominator degree")
+    check_count(n, 0, "numerator degree")
+    if n > m:
+        raise ValueError("numerator degree must not exceed denominator degree")
+
+
 @dataclass(frozen=True, eq=False)
 class FitProblem:
     """Sampled data plus requested numerator (n) and denominator (m) degrees."""
@@ -46,10 +54,7 @@ class FitProblem:
     m: int
 
     def __post_init__(self):
-        check_count(self.m, 1, "denominator degree")
-        check_count(self.n, 0, "numerator degree")
-        if self.n > self.m:
-            raise ValueError("numerator degree must not exceed denominator degree")
+        check_orders(self.n, self.m)
         if len(self.data) < self.m + self.n + 1:
             raise ValueError("not enough frequency samples for the requested orders")
 

@@ -84,9 +84,9 @@ class TimeDomainMetrics:
     final_value: float
 
     def __post_init__(self):
-        if self.mp < 0:
+        if not self.mp >= 0:
             raise ValueError("overshoot fraction cannot be negative")
-        if self.tr < 0 or self.ts < 0:
+        if not (self.tr >= 0 and self.ts >= 0):
             raise ValueError("rise and settling times cannot be negative")
 
 

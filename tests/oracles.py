@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own solvers: the step
 response is re-derived from the closed form with math-module scalars, and
 crossings are located by plain bisection (plus a dense linear scan for the
 settling search), so agreement with the package is meaningful. Polynomials
-are evaluated by a Horner loop over Python complex numbers. The RK4
-reference steps the simulator's affine map one step at a time, the plain
-loop the package's block propagation must reproduce, and the inverse
+are evaluated by a Horner loop over Python complex numbers. The loop
+reference steps the simulator's exact step matrix one step at a time, the
+plain loop the package's block propagation must reproduce, and the inverse
 interpolation reference spells out, step by step, the operation order the
 package's scalar solver must reproduce bit for bit; the modal step response
 is exact. The family members are built one transfer function at
@@ -155,21 +155,29 @@ def horner(coeffs, s):
 
 
 def loop_step_response(tf, step_size, n_steps):
-    """RK4 step response stepped one sample at a time, x <- P x + f."""
+    """Exact step response stepped one sample at a time, z <- E z on z = [x, 1].
+
+    E = exp(step_size [[A, b], [0, 0]]) is built as the simulator builds it:
+    scaled by 2**-s to a 1-norm under 1/4, summed to Taylor degree 12 by
+    Horner's rule, and squared s times.
+    """
     from trackbounds.simulate import _canonical
 
-    a, b, c, direct = _canonical(tf)
-    m = a.shape[0]
-    ha = step_size * a
-    prop = np.eye(m) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
-    force = (step_size * (np.eye(m) + ha / 2 + ha @ ha / 6 + ha @ ha @ ha / 24)) @ b
-    states = np.empty((n_steps + 1, m))
-    x = np.zeros(m)
-    states[0] = x
+    gen, row = _canonical(tf)
+    n = gen.shape[0]
+    s = max(0, math.frexp(step_size * np.abs(gen).sum(axis=0).max())[1] + 2)
+    step = np.eye(n)
+    for k in range(12, 0, -1):
+        step = np.eye(n) + (gen * (math.ldexp(step_size, -s) / k)) @ step
+    for _ in range(s):
+        step = step @ step
+    states = np.empty((n_steps + 1, n))
+    z = np.eye(n)[-1]
+    states[0] = z
     for k in range(1, n_steps + 1):
-        x = prop @ x + force
-        states[k] = x
-    return states @ c + direct
+        z = step @ z
+        states[k] = z
+    return states @ row
 
 
 def oracle_modal_step(tf, t):

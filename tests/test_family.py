@@ -66,6 +66,10 @@ class TestWdTable:
         with pytest.raises(ValueError):
             WdTable(())
 
+    def test_requires_second_order_params(self):
+        with pytest.raises(ValueError, match="SecondOrderParams"):
+            WdTable((1.0, 2.0))
+
     def test_accessors(self):
         pairs = (SecondOrderParams(2.0, 0.5), SecondOrderParams(3.0, 0.7))
         table = WdTable(pairs)

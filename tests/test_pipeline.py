@@ -179,11 +179,21 @@ class TestRunPipeline:
     @pytest.mark.parametrize("counts, stage", [
         ({"points": 200.9}, "grid"), ({"poles": 2.5}, "fit"), ({"poles": True}, "fit"),
         ({"zeros": 0.0}, "fit"),
+        # low and high mode fit nothing, but check the orders all the same
+        ({"mode": "low", "poles": 2.5, "zeros": -3}, "fit"),
+        ({"mode": "low", "zeros": -1}, "fit"),
+        ({"mode": "high", "zeros": 7, "poles": 0}, "fit"),
     ])
     def test_non_integral_counts_fail_in_their_stage(self, example_spec, example_wd_table,
                                                      counts, stage):
+        counts = {"mode": "envelope", **counts}
         with pytest.raises(ValueError, match=f"^{stage}: .* must be an integer"):
-            run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table, **counts)
+            run_pipeline(example_spec, wd_table=example_wd_table, **counts)
+
+    @pytest.mark.parametrize("mode", ["low", "high", "envelope"])
+    def test_numerator_order_checked_in_every_mode(self, example_spec, example_wd_table, mode):
+        with pytest.raises(ValueError, match="^fit: numerator degree must not exceed"):
+            run_pipeline(example_spec, mode=mode, zeros=3, poles=2, wd_table=example_wd_table)
 
 
 class TestSummary:
@@ -212,10 +222,18 @@ class TestSummary:
         ("lower_den =", "lower_dem =", "bounds", "lower_den"),
         ("lower_mp = ", "lower_mp = x", "final_td", "lower_mp"),
         ("wi = 5", "wi = 5.0", "spec", "wi"),
+        ("zeta,omega_n", "zeta;omega_n", "wd_table", "zeta,omega_n"),
     ])
     def test_bad_key_names_section_and_key(self, result_low, old, new, section, key):
         text = format_summary(result_low).replace(old, new)
         with pytest.raises(ValueError, match=rf"\[{section}\].*'{key}'"):
+            parse_summary(text)
+
+    def test_nan_metric_rejected(self, result_low):
+        text = format_summary(result_low)
+        start = text.index("lower_mp = ")
+        text = text[:start] + "lower_mp = nan" + text[text.index("\n", start):]
+        with pytest.raises(ValueError, match="overshoot"):
             parse_summary(text)
 
     def test_missing_section_names_section_and_key(self, result_env):
@@ -543,6 +561,15 @@ class TestCli:
         assert "validation error" in err
         assert "overshoot" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--poles", "-1"], ["--mode", "high", "--zeros", "7", "--poles", "0"],
+        ["--mode", "low", "--zeros", "3"],
+    ])
+    def test_invalid_orders_exit_one_in_every_mode(self, capsys, example_wd_path, args):
+        code = main(self.BASE + args + ["--wd-table", str(example_wd_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("trackbounds: validation error: fit: ")
+
     def test_missing_table_file_exits_three(self, capsys, tmp_path):
         code = main(self.BASE + ["--wd-table", str(tmp_path / "absent.csv")])
         err = capsys.readouterr().err
@@ -665,27 +692,27 @@ class TestWorkedExampleBytes:
 
     PINNED = {
         "low": {
-            "stdout": "704f913eee488c91db04e5da82fa91420f45993c2557f4f378bbf6148a7d0db2",
+            "stdout": "df2cf7c6d63253101e6191e9af711c41250ebaae8c129bf17e91e6d7b918d9fd",
             "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
             "bode_lower.csv": "0859bb8f841135b44716f2b3cc6cfb9d55076c2a3fdd52b65418a21e511b3073",
             "bode_upper.csv": "92d46d8a51563096fc48ab0da4926498d4d9b1d9c62e88605bb4b41c591a3c39",
-            "summary.txt": "704f913eee488c91db04e5da82fa91420f45993c2557f4f378bbf6148a7d0db2",
-            "trace_lower.csv": "a41041998a0c5c16185de8fbc27237109d52aa96cef7f4ed371b155633c6de7c",
-            "trace_upper.csv": "b029076e8ac42a2132a68aa2aea9e976659edc26cf1191bd32c8dfbcf4f75d22",
+            "summary.txt": "df2cf7c6d63253101e6191e9af711c41250ebaae8c129bf17e91e6d7b918d9fd",
+            "trace_lower.csv": "6b6044088d6ba2c1041c95e9af2e1f4886d8a64513ce8afdd9e663892e777106",
+            "trace_upper.csv": "fbc0f8d86f37ed49ffb714b79d640e8b3835e3f4896ec032beea92ae9db5b97d",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "high": {
-            "stdout": "098dca5497650ca0205bcfcc35077f9a9c23c3dfb67c84ac72b68b0f2e1b3d7d",
+            "stdout": "74b2e58c23e138236e953d9a56daac8cb75475e00dfa47d5c100b80c3dcfd7cd",
             "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
             "bode_lower.csv": "21262a3251ac82504aa5973add4553007705b81fe56cf0c73fb5299a2d81fc8a",
             "bode_upper.csv": "e4a6d5e494d88ad73d962a59291f90634076ca216d3942461b81b219270d8348",
-            "summary.txt": "098dca5497650ca0205bcfcc35077f9a9c23c3dfb67c84ac72b68b0f2e1b3d7d",
-            "trace_lower.csv": "fbf852d69a7e89d2dca994626ab2a801db358d16c3fd8a52fbb766856bbf659e",
-            "trace_upper.csv": "e7990bb00915d321cfa35f87bb47abf9f3dbb3189b42cbe67da3557e9c91477c",
+            "summary.txt": "74b2e58c23e138236e953d9a56daac8cb75475e00dfa47d5c100b80c3dcfd7cd",
+            "trace_lower.csv": "8ee5c6e013572193039b83cdd318703cf9e81764358bd84d9e82e4a50cf6f019",
+            "trace_upper.csv": "eb72e224e073413efd0e1e8af743d70ccaa3a21c76dbb5f72ed506e15b770a73",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "envelope": {
-            "stdout": "66f4294081726656a6d587ed7802ae6067ac5e3e2da6596a4b472cbddcc2dd38",
+            "stdout": "1f878eeb295951cc106ec7641c87c9c58ffddf3a664c1a891c5dc37fd35255ba",
             "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
             "bode_lower.csv": "05d0bc1ea3996785b414e8076fe2a61f9b0bb0b07bdb678a0995c9a11b6d8ee1",
             "bode_upper.csv": "824fcc5efd91358478a5b3a8b4817e8782e45b7c9f4211af85b3f20851ad1d46",
@@ -693,9 +720,9 @@ class TestWorkedExampleBytes:
             "envelope_upper.csv": "83ccc670bc9e912de0158368efe6c360500c38f931370927c9828831839a9539",
             "fit_report_lower.csv": "0da8fd12e03d5cd90fb7a932aac34c11c5d368438810b86c4ffe22e519b174b4",
             "fit_report_upper.csv": "aca6ae6a41ed722dc51398d63c4c94e1b39a1af5b3922f7c260f3a75b17f8056",
-            "summary.txt": "66f4294081726656a6d587ed7802ae6067ac5e3e2da6596a4b472cbddcc2dd38",
-            "trace_lower.csv": "503d73d12e8539fa7dfa220ac53f8fe586869273fc77a63b26acf0d27f33a2d3",
-            "trace_upper.csv": "cd19d45303d8fb2fd446f80b8cffb6bfc209a7cd1064b922f1693082abb81e09",
+            "summary.txt": "1f878eeb295951cc106ec7641c87c9c58ffddf3a664c1a891c5dc37fd35255ba",
+            "trace_lower.csv": "396e93a0f79bfd5b0cbc9cc431f805b0f6ef6ad954aa4dea3d2b011496d01e82",
+            "trace_upper.csv": "51eb32690db2fe94cbb883794a651a31d159711fa8d570f1748c4887f10a6642",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
     }

@@ -186,6 +186,13 @@ class TestCleanup:
         with pytest.raises(NumericalError, match="all poles removed"):
             cleanup(tf)
 
+    def test_improper_result_raises(self):
+        # the pole at -3 lies below 1e-4 of the dominant scale 1e6 and goes;
+        # both zeros stay, one more than the poles kept
+        tf = RationalTF(np.poly([-5e5, -6e5]), np.poly([-1e6, -3.0]))
+        with pytest.raises(NumericalError, match="removed too many poles"):
+            cleanup(tf)
+
     def test_gain_preserved_for_random_cleanups(self):
         rng = np.random.default_rng(97)
         grid = make_grid(0.01, 100.0, 20)

@@ -48,6 +48,11 @@ class TestStepTrace:
         with pytest.raises(ValueError, match="positive"):
             StepTrace(t, y, 0.0)
 
+    def test_nan_step_size_rejected(self):
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="positive"):
+            StepTrace(t, np.zeros(11), float("nan"))
+
     def test_arrays_are_copied(self):
         t = np.linspace(0.0, 1.0, 11)
         y = np.zeros(11)
@@ -79,6 +84,16 @@ class TestStepResponse:
             trace = step_response(tf, 20.0 / params.omega_n, step_size=0.01 / params.omega_n)
             exact = step_value(params, trace.times)
             assert np.max(np.abs(trace.values - exact)) <= 1e-6
+
+    def test_seeded_members_match_closed_form(self):
+        # lightly damped members over long horizons at the default step, where
+        # an approximate integrator's phase error builds up
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            params = SecondOrderParams(10 ** rng.uniform(-2, 2), rng.uniform(0.05, 0.99))
+            trace = step_response(make_tf(params), 40.0 / (params.zeta * params.omega_n))
+            exact = step_value(params, trace.times)
+            assert np.max(np.abs(trace.values - exact)) <= 1e-12
 
     def test_step_halving_converges(self):
         rng = np.random.default_rng(103)
@@ -158,12 +173,14 @@ class TestStepResponse:
             step_response(RationalTF([den[-1]], den), 1.0, step_size=0.01)
         step_response(make_tf(MEMBER1), 1.0, step_size=0.01)
 
-    def test_step_size_accuracy_contract(self):
+    def test_any_positive_step_size_is_exact(self):
+        # 0.4 s is 0.13 / omega_n: a coarse step samples the closed form too
         tf = make_tf(MEMBER1)
-        with pytest.raises(NumericalError, match="accuracy contract"):
-            step_response(tf, 30.0, step_size=0.4)
-        with pytest.raises(ValueError, match="positive"):
-            step_response(tf, 30.0, step_size=0.0)
+        trace = step_response(tf, 30.0, step_size=0.4)
+        assert np.max(np.abs(trace.values - step_value(MEMBER1, trace.times))) <= 1e-12
+        for step in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                step_response(tf, 30.0, step_size=step)
 
 
 def _worked_example_fitted_traces(example_wd_table, example_spec):
@@ -172,7 +189,8 @@ def _worked_example_fitted_traces(example_wd_table, example_spec):
 
 
 class TestBlockPropagation:
-    """Block propagation reproduces the one-step-at-a-time RK4 loop."""
+    """Block propagation reproduces the one-step-at-a-time loop of the same
+    exact step."""
 
     @staticmethod
     def assert_matches_loop(tf, trace):

@@ -97,6 +97,10 @@ class TestRationalTF:
         with pytest.raises(ValueError):
             RationalTF(np.array([1.0]), np.array([1.0, np.inf]))
 
+    def test_two_dimensional_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="1-D coefficient list"):
+            RationalTF([[1.0, 2.0]], [1.0, 1.0])
+
     def test_poles_are_the_roots_of_den(self):
         tf = RationalTF([2.0, 1.0], [1.0, 0.3486, 0.1137])
         assert np.array_equal(tf.poles, np.roots(tf.den))
@@ -257,6 +261,11 @@ class TestFrequencyResponseContainer:
         grid = FrequencyGrid(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             FrequencyResponse(grid, np.array([1.0 + 0j, 2.0 + 0j]))
+
+    def test_non_finite_value_rejected(self):
+        grid = FrequencyGrid(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyResponse(grid, np.array([1.0 + 0j, complex(np.nan, 0.0)]))
 
     def test_magnitude_and_phase(self):
         grid = FrequencyGrid(np.array([1.0, 2.0]))

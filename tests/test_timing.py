@@ -569,8 +569,21 @@ class TestExtractMetrics:
         with pytest.raises(ValueError, match="20 samples"):
             extract_metrics(t, np.ones(10), 1.0, BAND)
 
+    def test_trace_that_never_rises_rejected(self):
+        # settles inside a band of 0.5 around 1.0 without reaching 0.9
+        t = np.linspace(0.0, 10.0, 101)
+        with pytest.raises(ValueError, match="no rise"):
+            extract_metrics(t, 0.6 * (1.0 - np.exp(-t)), 1.0, ToleranceBand(0.5))
+
     def test_metrics_validation(self):
         with pytest.raises(ValueError):
             TimeDomainMetrics(mp=-0.1, tr=1.0, ts=1.0, final_value=1.0)
         with pytest.raises(ValueError):
             TimeDomainMetrics(mp=0.1, tr=-1.0, ts=1.0, final_value=1.0)
+
+    @pytest.mark.parametrize("field, match", [
+        ("mp", "overshoot"), ("tr", "rise and settling"), ("ts", "rise and settling")])
+    def test_nan_metric_rejected(self, field, match):
+        values = {"mp": 0.1, "tr": 1.0, "ts": 1.0, "final_value": 1.0, field: float("nan")}
+        with pytest.raises(ValueError, match=match):
+            TimeDomainMetrics(**values)
