@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="envelope fit numerator degree (default: 0)")
     p.add_argument("--poles", type=int, default=2,
                    help="envelope fit denominator degree (default: 2)")
-    p.add_argument("--gain-adjust", action="store_true",
-                   help="rescale fitted bounds to unit DC gain")
     p.add_argument("--wd-table", metavar="PATH", default=None,
                    help="inject a pre-computed (zeta, omega_n) table instead of sweeping")
     p.add_argument("--out", metavar="DIR", default=None,
@@ -70,7 +68,7 @@ def main(argv=None) -> int:
         result = run_pipeline(
             spec, mode=args.mode, zeta_step=args.zeta_step,
             w_min=args.wmin, w_max=args.wmax, points=args.points,
-            zeros=args.zeros, poles=args.poles, adjust_gain=args.gain_adjust,
+            zeros=args.zeros, poles=args.poles,
             wd_table=table,
         )
         if args.out:

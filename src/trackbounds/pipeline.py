@@ -29,7 +29,7 @@ from .envelope import BoundPair, envelope_of, make_grid, select_restricted
 from .errors import NumericalError
 from .family import (Spec, WdTable, build_wd, format_wd_table, member_blocks, member_terms,
                      parse_wd_table)
-from .ratfit import FitProblem, FitReport, check_orders, cleanup, fit, gain_adjust, report
+from .ratfit import FitProblem, FitReport, check_orders, cleanup, fit, report
 from .simulate import FinalTD, StepTrace, round_trip
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
 from .timing import TimeDomainMetrics
@@ -87,7 +87,7 @@ def _stage(name: str):
 
 def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
                  w_min: float = 0.01, w_max: float = 100.0, points: int = 200,
-                 zeros: int = 0, poles: int = 2, adjust_gain: bool = False,
+                 zeros: int = 0, poles: int = 2,
                  wd_table: WdTable | None = None) -> PipelineResult:
     """Translate the specification into bound transfer functions.
 
@@ -120,15 +120,9 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
                 raw = fit(FitProblem(data, zeros, poles))
             with _stage("cleanup"):
                 tf = cleanup(raw, ref_omega=grid.omegas[0])
-                # the round trip needs a positive final value; gain_adjust
-                # below rescales any non-zero DC gain to 1
-                if not adjust_gain:
-                    gain = dc_gain(tf)
-                    if not gain > 0:
-                        raise NumericalError(f"{side} bound has non-positive DC gain {gain!r}")
-            if adjust_gain:
-                with _stage("gain_adjust"):
-                    tf = gain_adjust(tf)
+                gain = dc_gain(tf)
+                if not gain > 0:
+                    raise NumericalError(f"{side} bound has non-positive DC gain {gain!r}")
             fitted.append(tf)
         with _stage("fit"):
             bounds = BoundPair(fitted[0], fitted[1])

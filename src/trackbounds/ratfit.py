@@ -7,10 +7,11 @@ imaginary parts and solved as one overdetermined real system. Frequencies
 are normalized by their geometric mean before assembly so the Vandermonde
 powers stay balanced, and the coefficients are rescaled afterwards.
 
-cleanup() screens the result: right-half-plane roots and roots whose
-magnitude is insignificant against the dominant denominator scale (too
-close to the origin or too far beyond the dynamics) are removed, with the
-numerator rescaled so the magnitude at a reference frequency is preserved.
+cleanup() screens the result: roots outside the open left half plane and
+roots whose magnitude is insignificant against the dominant denominator
+scale (too close to the origin or too far beyond the dynamics) are removed,
+with the numerator rescaled so the magnitude at a reference frequency is
+preserved and the DC gain is positive.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, check_count
-from .tf_model import FrequencyResponse, RationalTF, dc_gain, eval_poly, freq_response, roots
+from .tf_model import FrequencyResponse, RationalTF, eval_poly, freq_response, roots
 
 __all__ = [
     "FitProblem",
     "FitReport",
     "fit",
     "cleanup",
-    "gain_adjust",
     "report",
 ]
 
@@ -125,7 +125,7 @@ def fit(problem: FitProblem) -> RationalTF:
 def _screen_roots(rts: np.ndarray, zero_tol: float, scale: float) -> list:
     kept = []
     for r in rts:
-        if r.real > 0:
+        if r.real >= 0:
             continue
         mag = abs(r)
         if mag == 0 or mag < zero_tol * scale:
@@ -139,11 +139,13 @@ def _screen_roots(rts: np.ndarray, zero_tol: float, scale: float) -> list:
 def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = None) -> RationalTF:
     """Drop unstable and insignificant roots, preserving gain at a reference.
 
-    Roots in the right half plane are always removed. Remaining roots are
-    judged against the dominant denominator scale M = max |den root|: those
-    with magnitude below zero_tol*M (including exact origin poles) or above
-    M/zero_tol are dynamically insignificant and removed too. The numerator
-    is rescaled so the magnitude at ref_omega (DC when None) is unchanged.
+    Roots with a non-negative real part are always removed. Remaining roots
+    are judged against the dominant denominator scale M = max |den root|:
+    those with magnitude below zero_tol*M (including exact origin poles) or
+    above M/zero_tol are dynamically insignificant and removed too. The
+    numerator is rescaled so the magnitude at ref_omega (DC when None) is
+    unchanged, and signed so the DC gain is positive: that undoes the
+    factor -r a dropped real root r > 0 contributes at DC.
     """
     if not 0 < zero_tol < 1:
         raise ValueError("zero tolerance must lie in (0, 1)")
@@ -178,17 +180,9 @@ def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = No
             "is finite and non-zero; pass a positive ref_omega"
         )
     factor = abs(old_num_v / old_den_v) / abs(new_num_v / new_den_v)
+    if num_new[-1] * den_new[-1] < 0:
+        factor = -factor
     return RationalTF(num_new * factor, den_new)
-
-
-def gain_adjust(tf: RationalTF) -> RationalTF:
-    """Scale the numerator so the DC gain is 1; den, and so its poles, carry over."""
-    g = dc_gain(tf)
-    if g == 0:
-        raise ValueError("zero DC gain cannot be rescaled")
-    adjusted = RationalTF(tf.num * (1.0 / g), tf.den)
-    vars(adjusted)["poles"] = tf.poles  # the cache RationalTF.poles fills on first use
-    return adjusted
 
 
 def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:

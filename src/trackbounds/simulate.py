@@ -112,9 +112,10 @@ def _canonical(tf: RationalTF):
 def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) -> StepTrace:
     """Simulate the unit step response on [0, t_end].
 
-    The samples are exact to rounding at any positive step_size. When it
-    is omitted it defaults to min(0.05/|fastest pole|, t_end/1e4), which
-    sets the spacing of the samples that the metrics are read at.
+    The samples are exact to rounding at any positive step_size up to
+    t_end. When it is omitted it defaults to min(0.05/|fastest pole|,
+    t_end/1e4), which sets the spacing of the samples that the metrics are
+    read at.
     """
     if not t_end > 0:
         raise ValueError("end time must be positive")
@@ -128,6 +129,8 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
         h = min(0.05 / fastest, t_end / _MIN_STEPS)
     elif not step_size > 0:
         raise ValueError("step size must be positive")
+    elif step_size > t_end:
+        raise ValueError(f"step size {step_size!r} exceeds the end time {t_end!r}")
     else:
         h = float(step_size)
 
@@ -210,7 +213,12 @@ def _settle(tf: RationalTF, spec: Spec) -> tuple[TimeDomainMetrics, StepTrace]:
     modal = math.log(max(amplitude / (min(spec.dev, 0.1) * dc), 1.0)) / -np.max(poles.real)
     t_end = max(3.0 * spec.ts, float(modal) / (1.0 - 1.0 / _MIN_STEPS))
     trace = step_response(tf, t_end)
-    return extract_metrics(trace.times, trace.values, dc, ToleranceBand(spec.dev)), trace
+    try:
+        metrics = extract_metrics(trace.times, trace.values, dc, ToleranceBand(spec.dev))
+    except ValueError as exc:
+        # the trace is computed, not given: its faults are numerical
+        raise NumericalError(str(exc)) from None
+    return metrics, trace
 
 
 def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace, StepTrace]]:

@@ -19,7 +19,7 @@ EXPORTED = """
     unit_settling_time omega_n_for omega_ns_for extract_metrics Spec WdTable build_wd
     member_blocks member_terms format_wd_table parse_wd_table read_wd_table BoundPair
     make_grid envelope_of select_restricted format_envelope FitProblem FitReport fit cleanup
-    gain_adjust report format_fit_report StepTrace FinalTD step_response round_trip
+    report format_fit_report StepTrace FinalTD step_response round_trip
     format_trace PipelineResult SummaryDoc run_pipeline emit format_summary parse_summary
     summary_skeleton
 """.split()
@@ -40,7 +40,7 @@ def test_exports_are_the_modules_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(trackbounds, name) is getattr(module, name), name
-    assert len(EXPORTED) == 55
+    assert len(EXPORTED) == 54
     assert set(EXPORTED) <= set(trackbounds.__all__)
     assert "MODES" in trackbounds.__all__
 

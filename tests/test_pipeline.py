@@ -111,14 +111,13 @@ class TestRunPipeline:
         assert result_env.fit_reports[0].max_mag_error < 0.25
         assert result_env.fit_reports[1].max_mag_error < 0.35
 
-    @pytest.mark.parametrize("mode, adjust_gain, calls", [
-        ("low", False, 2), ("high", False, 2), ("envelope", False, 2), ("envelope", True, 2),
-    ], ids=["low-2", "high-2", "envelope-2", "envelope-gain_adjust-2"])
+    @pytest.mark.parametrize("mode, calls", [
+        ("low", 2), ("high", 2), ("envelope", 2),
+    ], ids=["low-2", "high-2", "envelope-2"])
     def test_each_bound_finds_its_poles_once(self, monkeypatch, example_spec,
-                                             example_wd_table, mode, adjust_gain, calls):
+                                             example_wd_table, mode, calls):
         # one call per bound: its transfer function keeps its poles for the
-        # stability check, the round trip and, in envelope mode, the cleanup;
-        # gain_adjust keeps den, so the rescaled bound keeps them too
+        # stability check, the round trip and, in envelope mode, the cleanup
         count = 0
         np_roots = np.roots
 
@@ -128,7 +127,7 @@ class TestRunPipeline:
             return np_roots(p)
 
         monkeypatch.setattr(np, "roots", counting_roots)
-        run_pipeline(example_spec, mode=mode, wd_table=example_wd_table, adjust_gain=adjust_gain)
+        run_pipeline(example_spec, mode=mode, wd_table=example_wd_table)
         assert count == calls
 
     def test_family_responses_are_made_once_per_emit(self, monkeypatch, example_spec,
@@ -585,9 +584,10 @@ class TestCli:
         assert "fit" in err
 
     @pytest.mark.parametrize("args, stage", [
-        # the lower fit gets a far right-half-plane zero whose removal
-        # flips the sign of its DC gain
-        (BASE + ["--mode", "envelope", "--zeros", "1", "--poles", "2"], "cleanup"),
+        # the upper fit's only poles lie on the imaginary axis, at +-362947j
+        (["--mp", "0.9999984981531153", "--tr", "3.456873768219121e-06",
+          "--ts", "0.004147604661088834", "--dev", "0.00010052200560106671", "--wi", "53",
+          "--mode", "envelope", "--zeta-step", "0.2"], "cleanup"),
         # fast poles over a long settling horizon: the lower bound alone
         # needs about 5.3e8 simulation steps
         (["--mp", "0.15", "--tr", "0.001", "--ts", "3000", "--dev", "0.03", "--wi", "5"],
@@ -653,18 +653,20 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.startswith("trackbounds: i/o failure: emit: ")
 
-    def test_gain_adjust_rescues_negative_dc_gain(self, capsys):
-        # rescaling to unit DC gain flips the sign the cleanup left behind
-        doc = parse_summary(run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "1",
-                                                        "--poles", "2", "--gain-adjust"]))
-        assert doc.final.lower.final_value == pytest.approx(1.0, rel=1e-6)
-        assert doc.final.upper.final_value == pytest.approx(1.0, rel=1e-6)
+    def test_dropped_right_half_plane_zero_keeps_a_positive_gain(self, capsys):
+        # the lower (1,2) fit gets a far right-half-plane zero; cleanup drops
+        # it and keeps the bound's gain positive at the reference frequency
+        out = run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "1", "--poles", "2"])
+        doc = parse_summary(out)
+        assert doc.final.lower.final_value > 0 and doc.final.upper.final_value > 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+            "4f90eeae486fcadc3dc51ba854e6417f319c710b3edb580ca767d64d1b7e9c22")
 
     def test_slow_lower_bound_extends_its_trace(self, capsys, tmp_path):
         # the (0,4) lower fit rings for minutes: its poles size the trace at
         # 447 s, past 3 * ts = 90 s
         doc = parse_summary(run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "0",
-                                                        "--poles", "4", "--gain-adjust",
+                                                        "--poles", "4",
                                                         "--out", str(tmp_path)]))
         last_t = (tmp_path / "trace_lower.csv").read_text().splitlines()[-1].split(",")[0]
         assert float(last_t) == pytest.approx(446.877, rel=1e-5)

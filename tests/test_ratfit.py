@@ -1,4 +1,4 @@
-"""Tests for rational fitting, root cleanup, gain adjustment, and reports."""
+"""Tests for rational fitting, root cleanup, and reports."""
 
 import warnings
 
@@ -17,7 +17,6 @@ from trackbounds import (
     fit,
     format_fit_report,
     freq_response,
-    gain_adjust,
     make_grid,
     ratfit,
     report,
@@ -157,6 +156,19 @@ class TestCleanup:
         assert np.allclose(cleaned.num, [0.5], rtol=1e-12)
         assert abs(dc_gain(cleaned)) == pytest.approx(abs(dc_gain(tf)), rel=1e-12)
 
+    @pytest.mark.parametrize("ref_omega", [0.01, 10.0])
+    def test_right_half_plane_zero_keeps_dc_gain_positive(self, ref_omega):
+        # (2 - s) / ((s + 1)(s + 2)): the real zero at +2 contributes the
+        # factor -2 at DC, whose sign the rescale must not carry over; above
+        # the poles the cleaned response's real part is positive at either sign
+        tf = RationalTF([-1.0, 2.0], np.poly([-1.0, -2.0]))
+        cleaned = cleanup(tf, ref_omega=ref_omega)
+        assert cleaned.num_degree == 0
+        assert dc_gain(cleaned) > 0
+        grid = FrequencyGrid(np.array([ref_omega, 2 * ref_omega]))
+        old, new = (abs(freq_response(f, grid).values[0]) for f in (tf, cleaned))
+        assert new == pytest.approx(old, rel=1e-12)
+
     def test_far_zero_removed_with_loose_tolerance(self):
         tf = RationalTF([0.002, 13.0], [1.0, 6.79, 13.0])
         cleaned = cleanup(tf, zero_tol=1e-2)
@@ -227,29 +239,6 @@ class TestCleanup:
             cleanup(tf, zero_tol=1.0)
         with pytest.raises(ValueError):
             cleanup(tf, ref_omega=-1.0)
-
-
-class TestGainAdjust:
-    def test_scales_to_target(self):
-        tf = RationalTF([0.2], [1.0, 1.0])
-        adjusted = gain_adjust(tf)
-        assert np.allclose(adjusted.num, [1.0], rtol=1e-12)
-        assert dc_gain(adjusted) == pytest.approx(1.0, rel=1e-12)
-
-    def test_identity_when_already_matching(self):
-        tf = RationalTF([3.0], [1.0, 2.0, 3.0])
-        adjusted = gain_adjust(tf)
-        assert np.allclose(adjusted.num, tf.num, rtol=1e-12)
-
-    def test_pole_at_origin_rejected(self):
-        tf = RationalTF([1.0], [1.0, 0.0])
-        with pytest.raises(ValueError, match="origin"):
-            gain_adjust(tf)
-
-    def test_zero_dc_gain_rejected(self):
-        tf = RationalTF([1.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="zero DC gain"):
-            gain_adjust(tf)
 
 
 class TestReport:

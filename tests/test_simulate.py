@@ -1,5 +1,6 @@
 """Tests for step-response simulation and round-trip verification."""
 
+import time
 import tracemalloc
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from oracles import loop_step_response, oracle_modal_step
 from test_tf_model import random_stable_tf
 from trackbounds import (
+    MODES,
     BoundPair,
     FinalTD,
     NumericalError,
@@ -30,6 +32,7 @@ from trackbounds import (
     step_value,
     unit_rise_time,
     unit_settling_time,
+    zeta_min,
 )
 
 MEMBER1 = SecondOrderParams(0.3371943060017473, 0.5169126432375071)
@@ -181,6 +184,12 @@ class TestStepResponse:
         for step in (0.0, float("nan")):
             with pytest.raises(ValueError, match="positive"):
                 step_response(tf, 30.0, step_size=step)
+
+    def test_step_past_the_end_time_rejected(self):
+        # checked before the step matrix, which an infinite step fills with nan
+        for step in (40.0, float("inf")):
+            with pytest.raises(ValueError, match="exceeds the end time"):
+                step_response(make_tf(MEMBER1), 30.0, step_size=step)
 
 
 def _worked_example_fitted_traces(example_wd_table, example_spec):
@@ -381,8 +390,19 @@ class TestRoundTripContract:
         (0, 2): {"exit 0": 200, "F1 runs": 95, "F1 lower mp": 2, "F1 lower tr": 70,
                  "F1 lower ts": 18, "F1 upper mp": 32, "F1 upper ts": 13, "F2 runs": 147,
                  "F5 runs": 20},
-        (1, 2): {"exit 0": 11, "exit 2 in cleanup": 189, "F1 runs": 8, "F1 lower tr": 5,
-                 "F1 lower ts": 4, "F1 upper mp": 1, "F2 runs": 7, "F5 runs": 1},
+        (1, 2): {"exit 0": 199, "exit 2 in round_trip": 1, "F1 runs": 99, "F1 lower mp": 6,
+                 "F1 lower tr": 73, "F1 lower ts": 18, "F1 upper mp": 29, "F1 upper ts": 10,
+                 "F2 runs": 145, "F5 runs": 7},
+        (0, 3): {"exit 0": 174, "exit 2 in cleanup": 1, "exit 2 in fit": 23,
+                 "exit 2 in round_trip": 2, "F1 runs": 168, "F1 lower mp": 8, "F1 lower tr": 131,
+                 "F1 lower ts": 31, "F1 upper mp": 44, "F1 upper tr": 16, "F1 upper ts": 21,
+                 "F2 runs": 151, "F5 runs": 20},
+        (0, 4): {"exit 0": 166, "exit 2 in fit": 29, "exit 2 in round_trip": 5, "F1 runs": 158,
+                 "F1 lower mp": 62, "F1 lower tr": 78, "F1 lower ts": 55, "F1 upper mp": 52,
+                 "F1 upper tr": 7, "F1 upper ts": 8, "F2 runs": 166, "F5 runs": 113},
+        (1, 3): {"exit 0": 174, "exit 2 in fit": 26, "F1 runs": 150, "F1 lower mp": 42,
+                 "F1 lower tr": 79, "F1 lower ts": 54, "F1 upper mp": 71, "F1 upper tr": 5,
+                 "F1 upper ts": 23, "F2 runs": 132, "F5 runs": 108},
     }
 
     @pytest.mark.parametrize("zeros, poles", LEDGER)
@@ -410,6 +430,64 @@ class TestRoundTripContract:
             counts["F2 runs"] += bool(crossing_db > 0.1)
             counts["F5 runs"] += bool(np.any(lower > upper))
         assert +counts == self.LEDGER[zeros, poles]
+
+    @staticmethod
+    def whole_space_draws(n=200, seed=1):
+        # every input Spec and the CLI accept: mp and dev each log-uniform in
+        # [1e-9, 0.999] or one minus log-uniform in [1e-6, 0.1], tr log-uniform
+        # in [1e-6, 1e6] and ts = tr * 10**U(-3, 4), wi 1 to 59, any mode, a
+        # zeta step of the four below 1 - zeta_min(mp) (build_wd rejects a
+        # larger one), and orders up to (4, 4)
+        rng = np.random.default_rng(seed)
+
+        def fraction():
+            if rng.random() < 0.5:
+                return 10 ** rng.uniform(-9, np.log10(0.999))
+            return 1 - 10 ** rng.uniform(-6, -1)
+
+        for _ in range(n):
+            tr = 10 ** rng.uniform(-6, 6)
+            spec = Spec(mp=fraction(), tr=tr, ts=tr * 10 ** rng.uniform(-3, 4), dev=fraction(),
+                        wi=int(rng.integers(1, 60)))
+            steps = [z for z in (0.005, 0.01, 0.05, 0.2) if z < 1 - zeta_min(spec.mp)]
+            poles = int(rng.integers(1, 5))
+            mode = MODES[rng.integers(3)]
+            step = steps[rng.integers(len(steps))]
+            yield spec, {"mode": mode, "zeta_step": step,
+                         "zeros": int(rng.integers(0, poles + 1)), "poles": poles}
+
+    # How the whole-space runs exit, per mode and failing stage. The round
+    # trip fails on the trace budget, or where the simulator's rounding
+    # leaves the trace outside a band of dev under 1e-4; cleanup where it
+    # removes every pole.
+    WHOLE_SPACE = {"low exit 0": 57, "low exit 2 in round_trip": 5,
+                   "high exit 0": 52, "high exit 2 in round_trip": 14,
+                   "envelope exit 0": 20, "envelope exit 2 in cleanup": 11,
+                   "envelope exit 2 in fit": 35, "envelope exit 2 in round_trip": 6}
+    STAGES = ("grid", "wd_table", "fit", "select", "envelope", "cleanup", "round_trip")
+
+    def test_whole_space_runs_succeed_soundly_or_fail_in_a_stage(self):
+        # every validated input gives a sound bound pair or a numerical
+        # failure naming its stage, in bounded time
+        counts = Counter()
+        for spec, options in self.whole_space_draws():
+            mode = options["mode"]
+            start = time.perf_counter()
+            try:
+                result = run_pipeline(spec, **options)
+            except (ValueError, NumericalError) as exc:
+                stage = str(exc).partition(":")[0]
+                assert stage in self.STAGES, str(exc)
+                counts[f"{mode} exit {1 if isinstance(exc, ValueError) else 2} in {stage}"] += 1
+            else:
+                counts[f"{mode} exit 0"] += 1
+                for tf, m in ((result.bounds.lower, result.final.lower),
+                              (result.bounds.upper, result.final.upper)):
+                    assert np.max(tf.poles.real) < 0
+                    assert m.final_value == dc_gain(tf) > 0
+                    assert np.all(np.isfinite([m.mp, m.tr, m.ts]))
+            assert time.perf_counter() - start < 10.0
+        assert counts == self.WHOLE_SPACE
 
 
 class TestFinalTD:
