@@ -13,7 +13,7 @@ from trackbounds import (
     SecondOrderParams,
     ToleranceBand,
     newton_inverse_interp,
-    omega_n_for,
+    omega_ns_for,
     step_value,
     unit_rise_time,
     unit_settling_time,
@@ -30,9 +30,10 @@ for zeta in (0.52, 0.67, 0.82, 0.97):
     print(f"  {zeta:.2f}    {tr1:8.4f}    {ts1:8.4f}")
 
 # scaling: a system at omega_n has rise time unit_rise / omega_n, so the
-# stiffest requirement (rise or settling) fixes the natural frequency
+# stiffest requirement (rise or settling) fixes the natural frequency;
+# omega_ns_for takes a whole damping grid, here a grid of one
 zeta = 0.52
-w_n = omega_n_for(zeta, 5.0, 30.0, band)
+w_n = omega_ns_for([zeta], 5.0, 30.0, band)[0]
 print(f"\nzeta = {zeta}: omega_n = {w_n:.6f} meets tr <= 5 and ts <= 30")
 print(f"  implied rise     : {unit_rise_time(zeta) / w_n:.4f} s")
 print(f"  implied settling : {unit_settling_time(zeta, band) / w_n:.4f} s")

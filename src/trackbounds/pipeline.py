@@ -30,9 +30,8 @@ from .errors import NumericalError
 from .family import (Spec, WdTable, build_wd, format_wd_table, member_blocks, member_terms,
                      parse_wd_table)
 from .ratfit import FitProblem, FitReport, check_orders, cleanup, fit, report
-from .simulate import FinalTD, StepTrace, round_trip
+from .simulate import FinalTD, StepTrace, TimeDomainMetrics, round_trip
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
-from .timing import TimeDomainMetrics
 
 __all__ = [
     "MODES",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, check_count
-from .tf_model import FrequencyResponse, RationalTF, eval_poly, freq_response, roots
+from .tf_model import FrequencyResponse, RationalTF, eval_poly, freq_response
 
 __all__ = [
     "FitProblem",
@@ -153,7 +153,7 @@ def cleanup(tf: RationalTF, zero_tol: float = 1e-4, ref_omega: float | None = No
         raise ValueError("reference frequency must be positive")
 
     den_roots = tf.poles
-    num_roots = roots(tf.num) if tf.num_degree >= 1 else np.array([])
+    num_roots = np.roots(tf.num) if tf.num_degree >= 1 else np.array([])
     scale = float(np.max(np.abs(den_roots))) if den_roots.size else (
         float(np.max(np.abs(num_roots))) if num_roots.size else 0.0)
 

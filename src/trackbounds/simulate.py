@@ -1,4 +1,4 @@
-"""Step-response simulation and round-trip metric extraction.
+"""Step-response simulation and the round trip that reads bound metrics off it.
 
 The transfer function is realized in controllable canonical form. Under a
 unit step the input is constant, so a zero-order hold is exact: one step of
@@ -19,7 +19,8 @@ is kept: on traces of 10,001 and 40,000 samples, none of B = 64, 256 and
 512 ran faster than 128 in every one of three runs.
 
 round_trip measures each bound against its exact final value, the DC gain,
-and simulates it once, up to a horizon that its poles fix (see _settle).
+simulates it once, up to a horizon that its poles fix (see _settle), and
+reads its overshoot, rise and settling times off that trace (_trace_metrics).
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .envelope import BoundPair
 from .errors import NumericalError
 from .family import Spec
 from .tf_model import RationalTF, dc_gain
-from .timing import TimeDomainMetrics, ToleranceBand, extract_metrics
 
 __all__ = [
     "StepTrace",
+    "TimeDomainMetrics",
     "FinalTD",
     "step_response",
     "round_trip",
@@ -82,6 +83,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.flags.writeable = False
     return a
+
+
+@dataclass(frozen=True)
+class TimeDomainMetrics:
+    """Overshoot fraction, rise time, settling time, final value."""
+
+    mp: float
+    tr: float
+    ts: float
+    final_value: float
+
+    def __post_init__(self):
+        if not self.mp >= 0:
+            raise ValueError("overshoot fraction cannot be negative")
+        if not (self.tr >= 0 and self.ts >= 0):
+            raise ValueError("rise and settling times cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -150,10 +167,11 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     powers = np.empty((_BLOCK + 1, m + 1, m + 1))
     powers[0] = np.eye(m + 1)
     # powers[1] = exp(h gen) by scaling and squaring (Higham 2005): 2**-s takes
-    # the 1-norm of h gen, which in companion form can far exceed h |fastest
+    # the 1-norm of h A, which in companion form can far exceed h |fastest
     # pole|, under 1/4, where the Taylor remainder past degree 12 is under
-    # 2.4e-18; Horner's rule runs over the factors h gen / 2**s / k
-    s = max(0, math.frexp(h * np.abs(gen).sum(axis=0).max())[1] + 2)
+    # 1e-17. The last column of (h gen)**k is h**k A**(k-1) b, so b is left out
+    # of the norm. Horner's rule runs over the factors h gen / 2**s / k
+    s = max(0, math.frexp(h * np.abs(gen[:, :m]).sum(axis=0).max())[1] + 2)
     step = powers[0]
     for factor in gen * (math.ldexp(h, -s) / np.arange(12.0, 0.0, -1.0))[:, None, None]:
         step = powers[0] + factor @ step
@@ -213,12 +231,47 @@ def _settle(tf: RationalTF, spec: Spec) -> tuple[TimeDomainMetrics, StepTrace]:
     modal = math.log(max(amplitude / (min(spec.dev, 0.1) * dc), 1.0)) / -np.max(poles.real)
     t_end = max(3.0 * spec.ts, float(modal) / (1.0 - 1.0 / _MIN_STEPS))
     trace = step_response(tf, t_end)
-    try:
-        metrics = extract_metrics(trace.times, trace.values, dc, ToleranceBand(spec.dev))
-    except ValueError as exc:
-        # the trace is computed, not given: its faults are numerical
-        raise NumericalError(str(exc)) from None
-    return metrics, trace
+    return _trace_metrics(trace, dc, spec.dev), trace
+
+
+def _trace_metrics(trace: StepTrace, final: float, dev: float) -> TimeDomainMetrics:
+    """Measure mp, tr and ts of a trace against its positive final value.
+
+    Crossings are located by linear interpolation between samples. The
+    trace is computed, not given, so a trace that ends outside the band
+    final*(1 +/- dev) or never reaches 90% of final raises NumericalError.
+    """
+    t, y = trace.times, trace.values
+    half_band = dev * final
+    if not abs(y[-1] - final) <= half_band:
+        raise NumericalError("unsettled trace")
+
+    mp = max(0.0, (float(np.max(y)) - final) / final)
+
+    def first_crossing(level):
+        idx = np.nonzero(y >= level)[0]
+        if idx.size == 0:
+            return None
+        j = int(idx[0])
+        if j == 0:
+            return float(t[0])
+        return float(t[j - 1] + (level - y[j - 1]) / (y[j] - y[j - 1]) * (t[j] - t[j - 1]))
+
+    t90 = first_crossing(0.9 * final)
+    if t90 is None:
+        raise NumericalError("no rise: trace never reaches 90% of its final value")
+    t10 = first_crossing(0.1 * final)
+    tr = t90 - t10
+
+    outside = np.nonzero(np.abs(y - final) > half_band)[0]
+    if outside.size == 0:
+        ts = 0.0
+    else:
+        j = int(outside[-1])
+        boundary = final + half_band if y[j] > final else final - half_band
+        ts = float(t[j] + (boundary - y[j]) / (y[j + 1] - y[j]) * (t[j + 1] - t[j]))
+
+    return TimeDomainMetrics(mp=mp, tr=tr, ts=ts, final_value=final)
 
 
 def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace, StepTrace]]:

@@ -21,7 +21,6 @@ __all__ = [
     "FrequencyResponse",
     "eval_poly",
     "freq_response",
-    "roots",
     "dc_gain",
 ]
 
@@ -142,14 +141,6 @@ def freq_response(tf: RationalTF, grid: FrequencyGrid) -> FrequencyResponse:
             f"denominator vanishes on the grid at omega = {float(grid.omegas[hits[0]])!r} rad/s"
         )
     return FrequencyResponse(grid, eval_poly(tf.num, s) / den_vals)
-
-
-def roots(coeffs) -> np.ndarray:
-    """All roots of the polynomial, via companion-matrix eigenvalues."""
-    c = _as_coeffs(coeffs, "coeffs")
-    if c.size < 2:
-        raise ValueError("no roots: polynomial degree is zero")
-    return np.roots(c)
 
 
 def dc_gain(tf: RationalTF) -> float:

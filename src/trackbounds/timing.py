@@ -1,5 +1,7 @@
-"""Time-domain metrics: crossing solvers, rise and settling times, and the
-metrics of a trace measured against the final value it is given.
+"""Rise and settling times of the closed-form second-order step response,
+the damping sweep's natural frequencies, and the paper's inverse
+interpolation of a crossing in sampled data. The metrics of a simulated
+trace are read by simulate, which owns the round trip.
 
 Crossings of the closed-form unit step response are solved by bracketed
 Newton iteration on the closed form itself, whose exact derivative is the
@@ -36,13 +38,10 @@ from .sos_core import closed_form_step
 
 __all__ = [
     "ToleranceBand",
-    "TimeDomainMetrics",
     "newton_inverse_interp",
     "unit_rise_time",
     "unit_settling_time",
-    "omega_n_for",
     "omega_ns_for",
-    "extract_metrics",
 ]
 
 # Newton-Raphson on the normalized abscissa u: stop when a step is this small
@@ -72,22 +71,6 @@ class ToleranceBand:
     def __post_init__(self):
         if not 0 < self.dev < 1:
             raise ValueError("tolerance band must be a fraction in (0, 1)")
-
-
-@dataclass(frozen=True)
-class TimeDomainMetrics:
-    """Overshoot fraction, rise time, settling time, final value."""
-
-    mp: float
-    tr: float
-    ts: float
-    final_value: float
-
-    def __post_init__(self):
-        if not self.mp >= 0:
-            raise ValueError("overshoot fraction cannot be negative")
-        if not (self.tr >= 0 and self.ts >= 0):
-            raise ValueError("rise and settling times cannot be negative")
 
 
 def newton_inverse_interp(times, values, target) -> float:
@@ -277,55 +260,3 @@ def _unit_times(zeta_bytes: bytes, dev: float):
     rise, settle = t90 - t10, settle.copy()
     rise.flags.writeable = settle.flags.writeable = False
     return rise, settle
-
-
-def omega_n_for(zeta: float, tr_spec: float, ts_spec: float, band: ToleranceBand) -> float:
-    """Smallest natural frequency meeting both timing requirements.
-
-    The one-damping-ratio case of omega_ns_for.
-    """
-    return float(omega_ns_for([zeta], tr_spec, ts_spec, band)[0])
-
-
-def extract_metrics(times, values, final: float, band: ToleranceBand) -> TimeDomainMetrics:
-    """Measure mp, tr and ts of a uniformly sampled trace against its final value.
-
-    The trace must end inside the band around the final value. Crossings
-    are located by linear interpolation between samples.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or t.size < 20:
-        raise ValueError("trace must be two matching 1-D arrays with at least 20 samples")
-    if not final > 0:
-        raise ValueError(f"degenerate final value {final!r}: the response is not positive")
-    half_band = band.dev * final
-    if not abs(y[-1] - final) <= half_band:
-        raise ValueError("unsettled trace")
-
-    mp = max(0.0, (float(np.max(y)) - final) / final)
-
-    def first_crossing(level):
-        idx = np.nonzero(y >= level)[0]
-        if idx.size == 0:
-            return None
-        j = int(idx[0])
-        if j == 0:
-            return float(t[0])
-        return float(t[j - 1] + (level - y[j - 1]) / (y[j] - y[j - 1]) * (t[j] - t[j - 1]))
-
-    t90 = first_crossing(0.9 * final)
-    if t90 is None:
-        raise ValueError("no rise: trace never reaches 90% of its final value")
-    t10 = first_crossing(0.1 * final)
-    tr = t90 - t10
-
-    outside = np.nonzero(np.abs(y - final) > half_band)[0]
-    if outside.size == 0:
-        ts = 0.0
-    else:
-        j = int(outside[-1])
-        boundary = final + half_band if y[j] > final else final - half_band
-        ts = float(t[j] + (boundary - y[j]) / (y[j + 1] - y[j]) * (t[j + 1] - t[j]))
-
-    return TimeDomainMetrics(mp=mp, tr=tr, ts=ts, final_value=final)

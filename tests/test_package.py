@@ -14,9 +14,9 @@ MODULES = ("errors", "tf_model", "sos_core", "timing", "family", "envelope", "ra
 # exported before the package's names were built from its modules' lists
 EXPORTED = """
     __version__ NumericalError RationalTF FrequencyGrid FrequencyResponse eval_poly
-    freq_response roots dc_gain SecondOrderParams zeta_min overshoot step_value make_tf
+    freq_response dc_gain SecondOrderParams zeta_min overshoot step_value make_tf
     scale_omega ToleranceBand TimeDomainMetrics newton_inverse_interp unit_rise_time
-    unit_settling_time omega_n_for omega_ns_for extract_metrics Spec WdTable build_wd
+    unit_settling_time omega_ns_for Spec WdTable build_wd
     member_blocks member_terms format_wd_table parse_wd_table read_wd_table BoundPair
     make_grid envelope_of select_restricted format_envelope FitProblem FitReport fit cleanup
     report format_fit_report StepTrace FinalTD step_response round_trip
@@ -40,7 +40,7 @@ def test_exports_are_the_modules_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(trackbounds, name) is getattr(module, name), name
-    assert len(EXPORTED) == 54
+    assert len(EXPORTED) == 51
     assert set(EXPORTED) <= set(trackbounds.__all__)
     assert "MODES" in trackbounds.__all__
 

@@ -13,6 +13,8 @@ import pytest
 from oracles import family_response
 
 from trackbounds import (
+    NumericalError,
+    RationalTF,
     StepTrace,
     emit,
     format_summary,
@@ -129,6 +131,17 @@ class TestRunPipeline:
         monkeypatch.setattr(np, "roots", counting_roots)
         run_pipeline(example_spec, mode=mode, wd_table=example_wd_table)
         assert count == calls
+
+    def test_negative_dc_gain_fails_in_cleanup(self, monkeypatch, capsys, example_spec,
+                                               example_wd_table, example_wd_path):
+        # cleanup keeps this stable fit whole, and its DC gain is -1
+        monkeypatch.setattr(pipeline, "fit", lambda problem: RationalTF([-0.1], [1, 0.4, 0.1]))
+        with pytest.raises(NumericalError) as exc:
+            run_pipeline(example_spec, mode="envelope", wd_table=example_wd_table)
+        assert str(exc.value) == "cleanup: lower bound has non-positive DC gain -1.0"
+        code = main(TestCli.BASE + ["--mode", "envelope", "--wd-table", str(example_wd_path)])
+        assert code == 2
+        assert "cleanup: lower bound has non-positive DC gain -1.0" in capsys.readouterr().err
 
     def test_family_responses_are_made_once_per_emit(self, monkeypatch, example_spec,
                                                       example_wd_table, tmp_path):

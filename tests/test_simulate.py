@@ -6,7 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import loop_step_response, oracle_modal_step
+from oracles import (loop_step_response, oracle_modal_step, oracle_rise_time,
+                     oracle_settling_time, step_scalar)
 from test_tf_model import random_stable_tf
 from trackbounds import (
     MODES,
@@ -17,6 +18,7 @@ from trackbounds import (
     SecondOrderParams,
     Spec,
     StepTrace,
+    TimeDomainMetrics,
     ToleranceBand,
     build_wd,
     dc_gain,
@@ -184,6 +186,14 @@ class TestStepResponse:
         for step in (0.0, float("nan")):
             with pytest.raises(ValueError, match="positive"):
                 step_response(tf, 30.0, step_size=step)
+
+    def test_first_order_bound_over_a_long_horizon(self):
+        # at the default step h = 3e7 s, h |pole| is 2.4e-3: the scaling
+        # exponent must come from it, not from h times the input column's 1
+        tf = RationalTF([4.91e-10], [1.0, 7.96e-11])
+        trace = step_response(tf, 3e11)
+        exact = -dc_gain(tf) * np.expm1(-7.96e-11 * trace.times)
+        assert np.max(np.abs(trace.values - exact)) <= 1e-12 * dc_gain(tf)
 
     def test_step_past_the_end_time_rejected(self):
         # checked before the step matrix, which an infinite step fills with nan
@@ -462,8 +472,8 @@ class TestRoundTripContract:
     # removes every pole.
     WHOLE_SPACE = {"low exit 0": 57, "low exit 2 in round_trip": 5,
                    "high exit 0": 52, "high exit 2 in round_trip": 14,
-                   "envelope exit 0": 20, "envelope exit 2 in cleanup": 11,
-                   "envelope exit 2 in fit": 35, "envelope exit 2 in round_trip": 6}
+                   "envelope exit 0": 21, "envelope exit 2 in cleanup": 11,
+                   "envelope exit 2 in fit": 35, "envelope exit 2 in round_trip": 5}
     STAGES = ("grid", "wd_table", "fit", "select", "envelope", "cleanup", "round_trip")
 
     def test_whole_space_runs_succeed_soundly_or_fail_in_a_stage(self):
@@ -488,6 +498,79 @@ class TestRoundTripContract:
                     assert np.all(np.isfinite([m.mp, m.tr, m.ts]))
             assert time.perf_counter() - start < 10.0
         assert counts == self.WHOLE_SPACE
+
+
+def _trace(times, values):
+    return StepTrace(times, values, times[1] - times[0])
+
+
+class TestTraceMetrics:
+    """The metrics _settle reads off a trace against its final value."""
+
+    def test_constant_unit_trace(self):
+        m = simulate._trace_metrics(_trace(np.linspace(0.0, 10.0, 50), np.ones(50)), 1.0, 0.03)
+        assert m.mp == 0.0
+        assert m.tr == 0.0
+        assert m.ts == 0.0
+        assert m.final_value == 1.0
+
+    def test_plateaued_ramp_has_exact_zero_overshoot(self):
+        t = np.linspace(0.0, 15.0, 600)
+        m = simulate._trace_metrics(_trace(t, np.clip(t / 5.0, 0.0, 1.0)), 1.0, 0.03)
+        assert m.mp == 0.0
+        assert abs(m.tr - 4.0) < 1e-9  # 10% to 90% of a ramp to 1 over 5 s
+        assert abs(m.ts - 5.0 * (1.0 - 0.03)) < 0.05
+        assert m.final_value == 1.0
+
+    def test_exponential_trace_rise_time(self):
+        t = np.linspace(0.0, 15.0, 600)
+        m = simulate._trace_metrics(_trace(t, 1.0 - np.exp(-t)), 1.0, 0.03)
+        # strictly increasing trace: the peak stays below the final value 1,
+        # so mp is zero
+        assert m.mp < 1e-6
+        # rise of 1 - e^{-t}: t10 = ln(10/9), t90 = ln(10)
+        assert abs(m.tr - (np.log(10.0) - np.log(10.0 / 9.0))) < 2e-3
+        assert m.ts > 0.0
+
+    def test_closed_form_member_trace(self):
+        t = np.arange(0.0, 90.0, 0.01)
+        m = simulate._trace_metrics(_trace(t, step_value(MEMBER1, t)), 1.0, 0.03)
+        peak = step_scalar(MEMBER1.zeta, np.pi / np.sqrt(1 - MEMBER1.zeta**2))
+        assert abs(m.mp - (peak - 1.0)) < 1e-3
+        assert abs(m.tr - oracle_rise_time(MEMBER1.zeta) / MEMBER1.omega_n) < 1e-3
+        assert abs(m.ts - oracle_settling_time(MEMBER1.zeta, 0.03) / MEMBER1.omega_n) < 1e-2
+        assert abs(m.final_value - 1.0) < 1e-3
+
+    def test_simulated_member_trace(self):
+        tf = make_tf(MEMBER1)
+        m = simulate._trace_metrics(step_response(tf, 90.0), dc_gain(tf), 0.03)
+        assert abs(m.mp - 0.150) < 2e-3
+        assert abs(m.tr - 5.00) < 0.05
+
+    def test_unsettled_trace_rejected(self):
+        t = np.arange(0.0, 3.0, 0.01)
+        trace = _trace(t, step_value(SecondOrderParams(1.0, 0.2), t))
+        with pytest.raises(NumericalError, match="unsettled"):
+            simulate._trace_metrics(trace, 1.0, 0.03)
+
+    def test_trace_that_never_rises_rejected(self):
+        # settles inside a band of 0.5 around 1.0 without reaching 0.9
+        t = np.linspace(0.0, 10.0, 101)
+        with pytest.raises(NumericalError, match="no rise"):
+            simulate._trace_metrics(_trace(t, 0.6 * (1.0 - np.exp(-t))), 1.0, 0.5)
+
+    def test_metrics_validation(self):
+        with pytest.raises(ValueError):
+            TimeDomainMetrics(mp=-0.1, tr=1.0, ts=1.0, final_value=1.0)
+        with pytest.raises(ValueError):
+            TimeDomainMetrics(mp=0.1, tr=-1.0, ts=1.0, final_value=1.0)
+
+    @pytest.mark.parametrize("field, match", [
+        ("mp", "overshoot"), ("tr", "rise and settling"), ("ts", "rise and settling")])
+    def test_nan_metric_rejected(self, field, match):
+        values = {"mp": 0.1, "tr": 1.0, "ts": 1.0, "final_value": 1.0, field: float("nan")}
+        with pytest.raises(ValueError, match=match):
+            TimeDomainMetrics(**values)
 
 
 class TestFinalTD:

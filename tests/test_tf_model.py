@@ -13,7 +13,6 @@ from trackbounds import (
     eval_poly,
     freq_response,
     make_grid,
-    roots,
 )
 
 
@@ -211,34 +210,6 @@ class TestFreqResponse:
             lhs = freq_response(prod, grid).values
             rhs = freq_response(a, grid).values * freq_response(b, grid).values
             assert np.allclose(lhs, rhs, rtol=1e-10)
-
-
-class TestRoots:
-    def test_double_root(self):
-        r = roots(np.array([1.0, 2.0, 1.0]))
-        assert np.allclose(sorted(r.real), [-1.0, -1.0], atol=1e-8)
-        assert np.allclose(r.imag, 0.0, atol=1e-8)
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError, match="no roots"):
-            roots(np.array([3.0]))
-
-    def test_reconstruction_and_residual(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            deg = int(rng.integers(1, 7))
-            coeffs = np.concatenate([[1.0], rng.normal(size=deg)])
-            r = roots(coeffs)
-            rebuilt = np.real(np.poly(r))
-            scale = np.max(np.abs(coeffs))
-            assert np.allclose(rebuilt, coeffs, atol=1e-8 * scale)
-            residuals = np.abs(eval_poly(coeffs, r))
-            assert np.all(residuals <= 1e-8 * scale)
-
-    def test_published_quadratic(self):
-        r = roots(np.array([1.0, 0.3486, 0.1137]))
-        assert np.allclose(r.real, -0.1743, atol=1e-10)
-        assert np.allclose(np.abs(r), np.sqrt(0.1137), rtol=1e-12)
 
 
 class TestDcGain:
