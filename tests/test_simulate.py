@@ -393,26 +393,29 @@ class TestRoundTripContract:
     # the spec by more than 1% (F1, per bound and metric, and in all), where
     # the lower bound rises above the lower envelope or the upper bound falls
     # below the upper one by more than 0.1 dB anywhere on the grid (F2), and
-    # where the lower bound's magnitude exceeds the upper bound's (F5). The
-    # counts pin today's defects so that they show: a change that moves one
-    # re-pins it and says why.
+    # where the lower bound's magnitude exceeds the upper bound's (F5), and
+    # where a bound's DC gain is off 1, the family's, by more than 1% (DC).
+    # The counts pin today's defects so that they show: a change that moves
+    # one re-pins it and says why.
     LEDGER = {
         (0, 2): {"exit 0": 200, "F1 runs": 95, "F1 lower mp": 2, "F1 lower tr": 70,
                  "F1 lower ts": 18, "F1 upper mp": 32, "F1 upper ts": 13, "F2 runs": 147,
-                 "F5 runs": 20},
+                 "F5 runs": 20, "DC lower": 68, "DC upper": 73},
         (1, 2): {"exit 0": 199, "exit 2 in round_trip": 1, "F1 runs": 99, "F1 lower mp": 6,
                  "F1 lower tr": 73, "F1 lower ts": 18, "F1 upper mp": 29, "F1 upper ts": 10,
-                 "F2 runs": 145, "F5 runs": 7},
+                 "F2 runs": 145, "F5 runs": 7, "DC lower": 68, "DC upper": 73},
         (0, 3): {"exit 0": 174, "exit 2 in cleanup": 1, "exit 2 in fit": 23,
                  "exit 2 in round_trip": 2, "F1 runs": 168, "F1 lower mp": 8, "F1 lower tr": 131,
                  "F1 lower ts": 31, "F1 upper mp": 44, "F1 upper tr": 16, "F1 upper ts": 21,
-                 "F2 runs": 151, "F5 runs": 20},
+                 "F2 runs": 151, "F5 runs": 20, "DC lower": 67, "DC upper": 76},
         (0, 4): {"exit 0": 166, "exit 2 in fit": 29, "exit 2 in round_trip": 5, "F1 runs": 158,
                  "F1 lower mp": 62, "F1 lower tr": 78, "F1 lower ts": 55, "F1 upper mp": 52,
-                 "F1 upper tr": 7, "F1 upper ts": 8, "F2 runs": 166, "F5 runs": 113},
+                 "F1 upper tr": 7, "F1 upper ts": 8, "F2 runs": 166, "F5 runs": 113,
+                 "DC lower": 129, "DC upper": 102},
         (1, 3): {"exit 0": 174, "exit 2 in fit": 26, "F1 runs": 150, "F1 lower mp": 42,
                  "F1 lower tr": 79, "F1 lower ts": 54, "F1 upper mp": 71, "F1 upper tr": 5,
-                 "F1 upper ts": 23, "F2 runs": 132, "F5 runs": 108},
+                 "F1 upper ts": 23, "F2 runs": 132, "F5 runs": 108, "DC lower": 128,
+                 "DC upper": 110},
     }
 
     @pytest.mark.parametrize("zeros, poles", LEDGER)
@@ -439,6 +442,8 @@ class TestRoundTripContract:
             counts["F1 runs"] += bool(misses)
             counts["F2 runs"] += bool(crossing_db > 0.1)
             counts["F5 runs"] += bool(np.any(lower > upper))
+            counts["DC lower"] += bool(abs(final.lower.final_value - 1) > 0.01)
+            counts["DC upper"] += bool(abs(final.upper.final_value - 1) > 0.01)
         assert +counts == self.LEDGER[zeros, poles]
 
     @staticmethod
