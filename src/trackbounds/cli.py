@@ -43,12 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound construction mode (default: low)")
     p.add_argument("--zeta-step", type=float, default=0.05,
                    help="damping sweep step (default: 0.05)")
-    p.add_argument("--wmin", type=float, default=0.01,
-                   help="grid minimum, rad/s (default: 0.01)")
-    p.add_argument("--wmax", type=float, default=100.0,
-                   help="grid maximum, rad/s (default: 100)")
     p.add_argument("--points", type=int, default=200,
-                   help="grid point count (default: 200)")
+                   help="frequency grid point count (default: 200)")
     p.add_argument("--zeros", type=int, default=0,
                    help="envelope fit numerator degree (default: 0)")
     p.add_argument("--poles", type=int, default=2,
@@ -65,12 +61,8 @@ def main(argv=None) -> int:
     try:
         spec = Spec(mp=args.mp, tr=args.tr, ts=args.ts, dev=args.dev, wi=args.wi)
         table = read_wd_table(args.wd_table) if args.wd_table else None
-        result = run_pipeline(
-            spec, mode=args.mode, zeta_step=args.zeta_step,
-            w_min=args.wmin, w_max=args.wmax, points=args.points,
-            zeros=args.zeros, poles=args.poles,
-            wd_table=table,
-        )
+        result = run_pipeline(spec, mode=args.mode, zeta_step=args.zeta_step, points=args.points,
+                              zeros=args.zeros, poles=args.poles, wd_table=table)
         if args.out:
             emit(result, args.out)
         sys.stdout.write(format_summary(result))

@@ -101,6 +101,16 @@ class WdTable:
         return len(self.pairs)
 
 
+def check_omega_ns(omega_ns: np.ndarray, wi: int) -> None:
+    """NumericalError unless the members' coefficients, the squares of
+    omega_ns and of wi * omega_ns, are all finite normal floats."""
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.square([omega_ns, wi * omega_ns])
+    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
+        raise NumericalError(f"natural frequency squares from {float(squares.min())!r} "
+                             f"to {float(squares.max())!r} are not all finite normal floats")
+
+
 def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     """Sweep zeta from zeta_min(mp) in fixed steps while below 1."""
     z_min = zeta_min(spec.mp)
@@ -112,11 +122,7 @@ def build_wd(spec: Spec, zeta_step: float = 0.05) -> WdTable:
     while (z := z_min + len(zetas) * zeta_step) < 1:
         zetas.append(z)
     omega_ns = omega_ns_for(zetas, spec.tr, spec.ts, ToleranceBand(spec.dev))
-    with np.errstate(over="ignore", under="ignore"):
-        squares = np.square([omega_ns, spec.wi * omega_ns])  # the members' coefficients
-    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
-        raise NumericalError(f"natural frequency squares from {float(squares.min())!r} "
-                             f"to {float(squares.max())!r} are not all finite normal floats")
+    check_omega_ns(omega_ns, spec.wi)
     return WdTable(tuple(SecondOrderParams(wn, z) for wn, z in zip(omega_ns.tolist(), zetas)))
 
 

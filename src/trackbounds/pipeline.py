@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .envelope import BoundPair, envelope_of, make_grid, select_restricted
 from .errors import NumericalError
-from .family import (Spec, WdTable, build_wd, format_wd_table, member_blocks, member_terms,
-                     parse_wd_table)
+from .family import (Spec, WdTable, build_wd, check_omega_ns, format_wd_table, member_blocks,
+                     member_terms, parse_wd_table)
 from .ratfit import FitProblem, FitReport, check_orders, cleanup, fit, report
 from .simulate import FinalTD, StepTrace, TimeDomainMetrics, round_trip
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
@@ -85,23 +85,25 @@ def _stage(name: str):
 
 
 def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
-                 w_min: float = 0.01, w_max: float = 100.0, points: int = 200,
-                 zeros: int = 0, poles: int = 2,
+                 points: int = 200, zeros: int = 0, poles: int = 2,
                  wd_table: WdTable | None = None) -> PipelineResult:
     """Translate the specification into bound transfer functions.
 
-    mode "low" or "high" picks whole family members by magnitude at the
-    corresponding grid endpoint; "envelope" fits rational functions of the
-    requested orders to the family envelopes. A pre-computed wd_table
-    bypasses the damping sweep.
+    A pre-computed wd_table bypasses the damping sweep. The grid spans the
+    table's family: points log-spaced from 0.1 * min omega_n to 10 * wi *
+    max omega_n. mode "low" or "high" picks whole family members by
+    magnitude at the corresponding grid endpoint; "envelope" fits rational
+    functions of the requested orders to the family envelopes.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
-    with _stage("grid"):
-        grid = make_grid(w_min, w_max, points)
     with _stage("wd_table"):
         table = wd_table if wd_table is not None else build_wd(spec, zeta_step)
+        check_omega_ns(table.omega_ns(), spec.wi)
+    with _stage("grid"):
+        omega_ns = table.omega_ns()
+        grid = make_grid(0.1 * omega_ns.min(), 10 * spec.wi * omega_ns.max(), points)
     # checked in every mode, though only envelope mode fits
     with _stage("fit"):
         check_orders(zeros, poles)

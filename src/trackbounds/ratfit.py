@@ -68,7 +68,6 @@ class FitReport:
     max_phase_error_deg keeps the sign of the largest-magnitude entry.
     """
 
-    fitted: RationalTF
     data: FrequencyResponse
     response: FrequencyResponse
     mag_error: np.ndarray
@@ -89,7 +88,7 @@ def fit(problem: FitProblem) -> RationalTF:
     if np.any(vals == 0):
         raise ValueError("cannot form 1/T' from a zero data sample")
 
-    w_g = math.exp(float(np.mean(np.log(omegas))))
+    w_g = np.float64(math.exp(float(np.mean(np.log(omegas)))))
     sn = 1j * omegas / w_g
 
     # one complex row per frequency: T'*(a_0 + ... + a_{m-1} s^{m-1})
@@ -112,13 +111,13 @@ def fit(problem: FitProblem) -> RationalTF:
 
     a = x[:m]
     b = x[m:]
-    # undo the frequency normalization and keep the denominator monic:
-    # a coefficient of s^k picks up w_g**(m - k)
-    den = np.empty(m + 1)
-    den[0] = 1.0
-    for k in range(m):
-        den[m - k] = a[k] * w_g ** (m - k)
-    num = np.array([b[j] * w_g ** (m - j) for j in range(n, -1, -1)])
+    # undo the frequency normalization and keep the denominator monic: a
+    # coefficient of s^k picks up w_g**(m - k), inf where that overflows
+    with np.errstate(over="ignore"):
+        den = np.array([1.0] + [a[k] * w_g ** (m - k) for k in range(m - 1, -1, -1)])
+        num = np.array([b[j] * w_g ** (m - j) for j in range(n, -1, -1)])
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(num))):
+        raise NumericalError("degenerate fit: the coefficients overflow at this frequency scale")
     return RationalTF(num, den)
 
 
@@ -192,7 +191,6 @@ def report(fitted: RationalTF, data: FrequencyResponse) -> FitReport:
     phase_error_deg = np.degrees(data.phase() - resp.phase())
     worst = int(np.argmax(np.abs(phase_error_deg)))
     return FitReport(
-        fitted=fitted,
         data=data,
         response=resp,
         mag_error=mag_error,

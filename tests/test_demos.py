@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "03_wd_sweep_and_families": "4a1841e6720d9a6038c72892005084ade7aa992ffe6f30b629bf703e6afdb944",
     "04_restriction_modes": "946f60a9a2954291c2929eb1a1265112ac57798bab669c410d38482cc4d8cc16",
     "05_envelope_rational_fit": "336af8a90b4111e94f9430e7e6d1649ea0d5a805427902285afbd16ebca43640",
-    "06_full_pipeline": "98e763c9c782a8f392eadf0a6cff8f8a137390327f55c3662ed295022830676a",
+    "06_full_pipeline": "1820134194521709b76a33a08c1586b2485b465a40305583ebe4544b4400e5e5",
 }
 
 

@@ -3,11 +3,13 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 
 import trackbounds
+from trackbounds.cli import build_parser
 
 MODULES = ("errors", "tf_model", "sos_core", "timing", "family", "envelope", "ratfit",
            "simulate", "pipeline")
@@ -23,7 +25,8 @@ EXPORTED = """
     format_trace PipelineResult SummaryDoc run_pipeline emit format_summary parse_summary
     summary_skeleton
 """.split()
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
 # bindings the benchmark's tracer names that refactors have since removed
 KNOWN_MISSING = {"trackbounds.family.omega_n_for", "trackbounds.pipeline.extract_metrics",
                  "trackbounds.envelope.freq_response", "trackbounds.pipeline.settled_step_response"}
@@ -63,3 +66,15 @@ def test_benchmark_tracer_bindings_resolve():
                   if not hasattr(importlib.import_module(module), attr)}
     assert unresolved <= KNOWN_MISSING
     assert len(unresolved) < len(bindings)
+
+
+def test_readme_flag_table_matches_the_parser():
+    # every flag in the first column of the README's table once, and every
+    # parser option but --help
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        table = re.search(r"\nFlags:\n\n((?:\|.*\n)+)", fh.read()).group(1)
+    documented = [flag for row in table.splitlines()[2:]
+                  for flag in re.findall(r"--[a-z][a-z-]*", row.split("|")[1])]
+    options = [opt for action in build_parser()._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"]
+    assert sorted(documented) == sorted(options)

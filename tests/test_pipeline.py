@@ -20,6 +20,7 @@ from trackbounds import (
     format_summary,
     format_trace,
     freq_response,
+    make_grid,
     make_tf,
     parse_summary,
     read_wd_table,
@@ -106,7 +107,6 @@ class TestRunPipeline:
         assert env.lower.num_degree == 0
         # each report carries its envelope data and the bound's response on the grid
         for rep, tf in zip(result_env.fit_reports, (env.lower, env.upper)):
-            assert rep.fitted is tf
             assert rep.data.grid is result_env.grid
             assert np.array_equal(rep.response.values,
                                   freq_response(tf, result_env.grid).values)
@@ -186,7 +186,21 @@ class TestRunPipeline:
 
     def test_errors_carry_stage_names(self, example_spec):
         with pytest.raises(ValueError, match="^grid: "):
-            run_pipeline(example_spec, w_min=10.0, w_max=1.0)
+            run_pipeline(example_spec, points=1)
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["swept", "injected"])
+    def test_grid_spans_the_family(self, example_spec, example_wd_table, injected):
+        # a decade below the slowest member to a decade above the fastest
+        result = run_pipeline(example_spec, points=150,
+                              wd_table=example_wd_table if injected else None)
+        omega_ns = result.wd.omega_ns()
+        grid = make_grid(0.1 * omega_ns.min(), 10 * example_spec.wi * omega_ns.max(), 150)
+        assert np.array_equal(result.grid.omegas, grid.omegas)
+
+    @pytest.mark.parametrize("bounds", [{"w_min": 1.0}, {"w_max": 1e3}])
+    def test_grid_range_is_not_an_option(self, example_spec, bounds):
+        with pytest.raises(TypeError):
+            run_pipeline(example_spec, **bounds)
 
     @pytest.mark.parametrize("counts, stage", [
         ({"points": 200.9}, "grid"), ({"poles": 2.5}, "fit"), ({"poles": True}, "fit"),
@@ -588,19 +602,28 @@ class TestCli:
         assert code == 3
         assert "i/o failure" in err
 
-    def test_degenerate_fit_exits_two(self, capsys):
-        code = main(self.BASE + ["--mode", "envelope", "--wmin", "1",
-                                 "--wmax", "1.0000000000002", "--points", "30"])
-        err = capsys.readouterr().err
+    def test_degenerate_fit_exits_two(self, capsys, tmp_path):
+        # one member: both envelopes are exactly T = 1/(s^2 + s + 1), so
+        # T + T*s + T*s^2 = 1 and the columns of the (0,3) fit's system are
+        # linearly dependent
+        path = tmp_path / "one_pair.csv"
+        path.write_text("zeta,omega_n\n0.5,1.0\n", encoding="ascii")
+        code = main(self.BASE[:-1] + ["1", "--mode", "envelope", "--poles", "3",
+                                      "--wd-table", str(path)])
         assert code == 2
-        assert "numerical failure" in err
-        assert "fit" in err
+        assert capsys.readouterr().err.startswith(
+            "trackbounds: numerical failure: fit: degenerate fit")
+
+    @pytest.mark.parametrize("flag", ["--wmin", "--wmax"])
+    def test_grid_range_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + [flag, "1"])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, stage", [
-        # the upper fit's only poles lie on the imaginary axis, at +-362947j
-        (["--mp", "0.9999984981531153", "--tr", "3.456873768219121e-06",
-          "--ts", "0.004147604661088834", "--dev", "0.00010052200560106671", "--wi", "53",
-          "--mode", "envelope", "--zeta-step", "0.2"], "cleanup"),
+        # the (2, 5) fits keep no stable pole
+        (BASE + ["--mode", "envelope", "--zeros", "2", "--poles", "5"], "cleanup"),
         # fast poles over a long settling horizon: the lower bound alone
         # needs about 5.3e8 simulation steps
         (["--mp", "0.15", "--tr", "0.001", "--ts", "3000", "--dev", "0.03", "--wi", "5"],
@@ -610,7 +633,7 @@ class TestCli:
         (BASE + ["--zeta-step", "1e-7"], "wd_table"),
         (BASE + ["--wi", "100000", "--mode", "envelope"], "envelope"),
         (BASE + ["--mode", "envelope", "--points", "20000", "--poles", "9000"], "fit"),
-        # within the budget, but |s|**200 overflows on the default grid
+        # within the budget, but |s|**200 overflows on the grid
         (BASE + ["--mode", "envelope", "--points", "401", "--poles", "200"], "fit"),
         # natural frequencies whose squares, the members' coefficients, are
         # zero, subnormal or infinite
@@ -620,16 +643,30 @@ class TestCli:
          "wd_table"),
         (["--mp", "0.15", "--tr", "1e-300", "--ts", "30", "--dev", "0.03", "--wi", "5"],
          "wd_table"),
-        # (omega / omega_n)**2 overflows at the top of the grid, so the lower
-        # magnitude envelope would read 0 there
-        (BASE + ["--mode", "envelope", "--wmax", "1e160"], "envelope"),
-        # the same grid in high mode: every member's magnitude at the top
-        # reads 0, so no member can be picked
-        (BASE + ["--mode", "high", "--wmax", "1e160"], "select"),
+        # members 300 decades apart: at the top of the grid, (omega /
+        # omega_n)**2 of the slowest member overflows, so the lower magnitude
+        # envelope would read 0 there
+        (BASE + ["--mode", "envelope", "--wd-table", "{wide}"], "envelope"),
+        # the same grid in high mode: the slowest member's magnitude at the
+        # top reads 0, so no member can be picked
+        (BASE + ["--mode", "high", "--wd-table", "{wide}"], "select"),
+        # an injected table's natural frequencies get the sweep's check: here
+        # the members' coefficients, omega_n**2, overflow
+        (BASE + ["--mode", "low", "--wd-table", "{fast}"], "wd_table"),
+        (BASE + ["--mode", "high", "--wd-table", "{fast}"], "wd_table"),
+        (BASE + ["--mode", "envelope", "--wd-table", "{fast}"], "wd_table"),
+        # the grid spans 5e98 to 3e102 rad/s: undoing the fit's frequency
+        # normalization needs 1e100**4, which overflows
+        (["--mp", "0.15", "--tr", "1e-100", "--ts", "1e-99", "--dev", "0.03", "--wi", "5",
+          "--mode", "envelope", "--poles", "4"], "fit"),
     ])
-    def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, args, stage):
+    def test_unusable_bound_fails_fast_naming_its_stage(self, capsys, tmp_path, args, stage):
+        tables = {"wide": "0.5,1e-150\n0.6,1e150\n", "fast": "0.5,1e200\n0.6,2e200\n"}
+        for name, rows in tables.items():
+            (tmp_path / f"{name}.csv").write_text("zeta,omega_n\n" + rows, encoding="ascii")
         start = time.perf_counter()
-        code = main(args)
+        code = main([arg.format(**{name: tmp_path / f"{name}.csv" for name in tables})
+                     for arg in args])
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 2
@@ -673,16 +710,17 @@ class TestCli:
         doc = parse_summary(out)
         assert doc.final.lower.final_value > 0 and doc.final.upper.final_value > 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-            "4f90eeae486fcadc3dc51ba854e6417f319c710b3edb580ca767d64d1b7e9c22")
+            "9fb8229269576c0b0eaa6edf6f680780df5d3a4aed7c6442cf5e5af4eb0473d7")
 
-    def test_slow_lower_bound_extends_its_trace(self, capsys, tmp_path):
-        # the (0,4) lower fit rings for minutes: its poles size the trace at
-        # 447 s, past 3 * ts = 90 s
-        doc = parse_summary(run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "0",
-                                                        "--poles", "4",
+    def test_slow_lower_bound_extends_its_trace(self, capsys, tmp_path, example_wd_path):
+        # the (4,6) lower fit rings for minutes: its poles size the trace at
+        # 1792 s, past 3 * ts = 90 s
+        doc = parse_summary(run_ok(capsys, self.BASE + ["--mode", "envelope", "--zeros", "4",
+                                                        "--poles", "6", "--wd-table",
+                                                        str(example_wd_path),
                                                         "--out", str(tmp_path)]))
         last_t = (tmp_path / "trace_lower.csv").read_text().splitlines()[-1].split(",")[0]
-        assert float(last_t) == pytest.approx(446.877, rel=1e-5)
+        assert float(last_t) == pytest.approx(1792.169, rel=1e-5)
         assert 90.0 < doc.final.lower.ts < float(last_t)
 
     def test_unknown_flag_exits_one(self, capsys):
@@ -708,9 +746,9 @@ class TestWorkedExampleBytes:
     PINNED = {
         "low": {
             "stdout": "df2cf7c6d63253101e6191e9af711c41250ebaae8c129bf17e91e6d7b918d9fd",
-            "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
-            "bode_lower.csv": "0859bb8f841135b44716f2b3cc6cfb9d55076c2a3fdd52b65418a21e511b3073",
-            "bode_upper.csv": "92d46d8a51563096fc48ab0da4926498d4d9b1d9c62e88605bb4b41c591a3c39",
+            "bode_family.csv": "288caa3c28fc60a81502d415fe8184a5e5dca5650cb2110bfa3e5761ad493a1a",
+            "bode_lower.csv": "02c6c539f76c7ef00064a9d650d9aa0ac9a5fa2ee8973312408aa0591904453e",
+            "bode_upper.csv": "e5905e6b90955f40577f57bb2d7138da1466525685015a5c8ac42f1165da0049",
             "summary.txt": "df2cf7c6d63253101e6191e9af711c41250ebaae8c129bf17e91e6d7b918d9fd",
             "trace_lower.csv": "6b6044088d6ba2c1041c95e9af2e1f4886d8a64513ce8afdd9e663892e777106",
             "trace_upper.csv": "fbc0f8d86f37ed49ffb714b79d640e8b3835e3f4896ec032beea92ae9db5b97d",
@@ -718,26 +756,26 @@ class TestWorkedExampleBytes:
         },
         "high": {
             "stdout": "74b2e58c23e138236e953d9a56daac8cb75475e00dfa47d5c100b80c3dcfd7cd",
-            "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
-            "bode_lower.csv": "21262a3251ac82504aa5973add4553007705b81fe56cf0c73fb5299a2d81fc8a",
-            "bode_upper.csv": "e4a6d5e494d88ad73d962a59291f90634076ca216d3942461b81b219270d8348",
+            "bode_family.csv": "288caa3c28fc60a81502d415fe8184a5e5dca5650cb2110bfa3e5761ad493a1a",
+            "bode_lower.csv": "74fe483ef426edcc9be84c24fd277349e04fbab35fe94bfb17d98d4d8959adc6",
+            "bode_upper.csv": "501e42c3df9f9b57220bf770ff5a96db50612bd7183331f9acda30e937e435b5",
             "summary.txt": "74b2e58c23e138236e953d9a56daac8cb75475e00dfa47d5c100b80c3dcfd7cd",
             "trace_lower.csv": "8ee5c6e013572193039b83cdd318703cf9e81764358bd84d9e82e4a50cf6f019",
             "trace_upper.csv": "eb72e224e073413efd0e1e8af743d70ccaa3a21c76dbb5f72ed506e15b770a73",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "envelope": {
-            "stdout": "1f878eeb295951cc106ec7641c87c9c58ffddf3a664c1a891c5dc37fd35255ba",
-            "bode_family.csv": "3ba7711f77af6266b437f71900ed818254f80c45fbdf9cb87af27c6da371074d",
-            "bode_lower.csv": "05d0bc1ea3996785b414e8076fe2a61f9b0bb0b07bdb678a0995c9a11b6d8ee1",
-            "bode_upper.csv": "824fcc5efd91358478a5b3a8b4817e8782e45b7c9f4211af85b3f20851ad1d46",
-            "envelope_lower.csv": "46e83d851841d36961eb612d3a62afe7f1dcce1cdc9305869b3c23b3cb7d62ad",
-            "envelope_upper.csv": "83ccc670bc9e912de0158368efe6c360500c38f931370927c9828831839a9539",
-            "fit_report_lower.csv": "0da8fd12e03d5cd90fb7a932aac34c11c5d368438810b86c4ffe22e519b174b4",
-            "fit_report_upper.csv": "aca6ae6a41ed722dc51398d63c4c94e1b39a1af5b3922f7c260f3a75b17f8056",
-            "summary.txt": "1f878eeb295951cc106ec7641c87c9c58ffddf3a664c1a891c5dc37fd35255ba",
-            "trace_lower.csv": "396e93a0f79bfd5b0cbc9cc431f805b0f6ef6ad954aa4dea3d2b011496d01e82",
-            "trace_upper.csv": "51eb32690db2fe94cbb883794a651a31d159711fa8d570f1748c4887f10a6642",
+            "stdout": "4455b67bf72c92447f81b606f0ff2d68b5d1e7070d97b14342331db79ca100b9",
+            "bode_family.csv": "288caa3c28fc60a81502d415fe8184a5e5dca5650cb2110bfa3e5761ad493a1a",
+            "bode_lower.csv": "e99d399587c890ac5fef1a7e2808786f5353e4c1f957729d7ec4c4569485fd17",
+            "bode_upper.csv": "b9a59c458b465766cadcc14e3cda0fb46b5c1d0f79461358bcda5e92cce2e03d",
+            "envelope_lower.csv": "5e8bf46802d4ccdf91abc099177ea469aa89a0c49da2fa54f7e5267f3c9072b0",
+            "envelope_upper.csv": "bdd22cbe8ee5dcbc37a1d55388dd70fc091854ab2edd11d0b5b3f2411b70855d",
+            "fit_report_lower.csv": "e5a0f8e8096988a00acb545ee2bd6ecbe64fb7f15a7320bd6b68a9e15d4fa5ef",
+            "fit_report_upper.csv": "0aaed278c3ef53766bc0d5724de04a9618d52f601ad75cb030d214abcdc489e6",
+            "summary.txt": "4455b67bf72c92447f81b606f0ff2d68b5d1e7070d97b14342331db79ca100b9",
+            "trace_lower.csv": "5e3233b7331464f7d7fa9fa0463ecf995c7ff103c2e46cfa517518729d92ff9c",
+            "trace_upper.csv": "555542a278718eb4b7376ec3f054590c759df7130ea12592cc1aad34329bbc9a",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
     }

@@ -134,6 +134,17 @@ class TestFit:
             with pytest.raises(NumericalError, match="degenerate fit"):
                 fit(FitProblem(data, 0, 200))
 
+    def test_overflowing_rescale_raises_degenerate_fit(self):
+        # the grid's geometric mean is 1e100 rad/s: undoing the frequency
+        # normalization scales by up to 1e100**m, a float only up to m = 3
+        grid = make_grid(1e99, 1e101, 60)
+        data = FrequencyResponse(grid, 1 / (1j * grid.omegas / 1e100 + 1) ** 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(fit(FitProblem(data, 0, 3)).den))
+            with pytest.raises(NumericalError, match="^degenerate fit: the coefficients overflow"):
+                fit(FitProblem(data, 0, 4))
+
     def test_zero_data_sample_rejected(self):
         grid = make_grid(0.1, 10.0, 20)
         vals = np.ones(20, dtype=complex)
@@ -197,6 +208,11 @@ class TestCleanup:
         tf = RationalTF([1.0], np.real(np.poly([1.0, 2.0])))
         with pytest.raises(NumericalError, match="all poles removed"):
             cleanup(tf)
+
+    def test_poles_on_the_imaginary_axis_removed(self):
+        # +-2j have real part exactly 0: not strictly stable
+        with pytest.raises(NumericalError, match="all poles removed"):
+            cleanup(RationalTF([1.0], [1.0, 0.0, 4.0]))
 
     def test_improper_result_raises(self):
         # the pole at -3 lies below 1e-4 of the dominant scale 1e6 and goes;
