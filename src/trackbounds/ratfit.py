@@ -112,7 +112,8 @@ def fit(problem: FitProblem) -> RationalTF:
     a = x[:m]
     b = x[m:]
     # undo the frequency normalization and keep the denominator monic: a
-    # coefficient of s^k picks up w_g**(m - k), inf where that overflows
+    # coefficient of s^k picks up w_g**(m - k), a float64 that reads inf
+    # where a Python float power would raise OverflowError
     with np.errstate(over="ignore"):
         den = np.array([1.0] + [a[k] * w_g ** (m - k) for k in range(m - 1, -1, -1)])
         num = np.array([b[j] * w_g ** (m - j) for j in range(n, -1, -1)])

@@ -608,8 +608,8 @@ class TestCli:
         # linearly dependent
         path = tmp_path / "one_pair.csv"
         path.write_text("zeta,omega_n\n0.5,1.0\n", encoding="ascii")
-        code = main(self.BASE[:-1] + ["1", "--mode", "envelope", "--poles", "3",
-                                      "--wd-table", str(path)])
+        code = main(self.BASE + ["--wi", "1", "--mode", "envelope", "--poles", "3",
+                                 "--wd-table", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "trackbounds: numerical failure: fit: degenerate fit")
@@ -622,7 +622,7 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, stage", [
-        # the (2, 5) fits keep no stable pole
+        # cleanup removes every pole of a (2,5) fit
         (BASE + ["--mode", "envelope", "--zeros", "2", "--poles", "5"], "cleanup"),
         # fast poles over a long settling horizon: the lower bound alone
         # needs about 5.3e8 simulation steps
