@@ -15,18 +15,17 @@ from trackbounds import (
     newton_inverse_interp,
     omega_ns_for,
     step_value,
-    unit_rise_time,
-    unit_settling_time,
+    unit_times,
 )
 
 # ---------------------------------------------------------------------------
 # unit-frequency timings as functions of damping alone
 # ---------------------------------------------------------------------------
+# unit_times solves every damping ratio's crossings in one batch
 band = ToleranceBand(0.03)
+zetas = (0.52, 0.67, 0.82, 0.97)
 print("damping   unit rise   unit settling (3% band)")
-for zeta in (0.52, 0.67, 0.82, 0.97):
-    tr1 = unit_rise_time(zeta)
-    ts1 = unit_settling_time(zeta, band)
+for zeta, tr1, ts1 in zip(zetas, *unit_times(zetas, band)):
     print(f"  {zeta:.2f}    {tr1:8.4f}    {ts1:8.4f}")
 
 # scaling: a system at omega_n has rise time unit_rise / omega_n, so the
@@ -35,8 +34,9 @@ for zeta in (0.52, 0.67, 0.82, 0.97):
 zeta = 0.52
 w_n = omega_ns_for([zeta], 5.0, 30.0, band)[0]
 print(f"\nzeta = {zeta}: omega_n = {w_n:.6f} meets tr <= 5 and ts <= 30")
-print(f"  implied rise     : {unit_rise_time(zeta) / w_n:.4f} s")
-print(f"  implied settling : {unit_settling_time(zeta, band) / w_n:.4f} s")
+(tr1,), (ts1,) = unit_times([zeta], band)
+print(f"  implied rise     : {tr1 / w_n:.4f} s")
+print(f"  implied settling : {ts1 / w_n:.4f} s")
 
 # ---------------------------------------------------------------------------
 # six samples are enough to invert a smooth crossing

@@ -1,9 +1,10 @@
 """The whole translation in one call, plus its file outputs.
 
 run_pipeline chains everything: damping sweep, harmonic families, bound
-construction in the requested mode, and a round-trip simulation of both
-bounds. emit writes the deterministic text artifacts a design session
-would keep. The same run is available from the shell as
+construction in the requested mode, and the round trip that measures both
+bounds. emit simulates both bounds' step responses and writes the
+deterministic text artifacts a design session would keep. The same run is
+available from the shell as
 `trackbounds --mp 0.15 --tr 5 --ts 30 --dev 0.03 --wi 5 --mode envelope`.
 """
 

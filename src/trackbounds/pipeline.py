@@ -2,8 +2,8 @@
 
 run_pipeline() carries a time-domain specification through the damping
 sweep, bound construction (endpoint-restricted members or fitted
-envelopes), and the round-trip simulation check. emit() writes the text
-outputs. This module owns every artifact format but the wd table's (see
+envelopes), and the round trip. emit() simulates both bounds and writes the
+text outputs. This module owns every artifact format but the wd table's (see
 family): every float is written with repr, so the CSV files and the
 summary, laid out by one list of keys, parse back without loss. The CSV
 tables are formatted in chunks of rows, and bode_family.csv one member
@@ -30,7 +30,7 @@ from .errors import NumericalError
 from .family import (Spec, WdTable, build_wd, check_omega_ns, format_wd_table, member_blocks,
                      member_terms, parse_wd_table)
 from .ratfit import FitProblem, FitReport, check_orders, cleanup, fit, report
-from .simulate import FinalTD, StepTrace, TimeDomainMetrics, round_trip
+from .simulate import FinalTD, StepTrace, TimeDomainMetrics, round_trip, settled_trace
 from .tf_model import FrequencyGrid, FrequencyResponse, dc_gain, freq_response
 
 __all__ = [
@@ -72,7 +72,6 @@ class PipelineResult:
     bounds: BoundPair
     final: FinalTD
     grid: FrequencyGrid
-    traces: tuple[StepTrace, StepTrace]
     fit_reports: tuple[FitReport, FitReport] | None = None
 
 
@@ -130,11 +129,11 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
             fit_reports = tuple(map(report, fitted, envelopes))
 
     with _stage("round_trip"):
-        final, traces = round_trip(bounds, spec)
+        final = round_trip(bounds, spec)
 
     return PipelineResult(
         spec=spec, mode=mode, wd=table, bounds=bounds, final=final, grid=grid,
-        fit_reports=fit_reports, traces=traces,
+        fit_reports=fit_reports,
     )
 
 
@@ -324,7 +323,7 @@ def _family_rows(result: PipelineResult, blocks, multipliers: range):
             yield from _member_rows(result.wd, cut, omegas, omega_reprs)
 
 
-def _child_split(result: PipelineResult) -> int:
+def _child_split(result: PipelineResult, traces) -> int:
     """First multiplier of bode_family.csv that a forked child formats, or
     wi + 1 for none.
 
@@ -335,7 +334,7 @@ def _child_split(result: PipelineResult) -> int:
     """
     wi, points = result.spec.wi, len(result.grid)
     member = len(result.wd) * points
-    samples = sum(len(t.times) for t in result.traces)
+    samples = sum(len(t.times) for t in traces)
     cost = _ROW_NS * wi * member + _SAMPLE_NS * samples + _POINT_NS * points
     count = min(wi, round(cost / 2 / (_ROW_NS * member)))
     if (count * member < _MIN_CHILD_ROWS or threading.active_count() > 1
@@ -387,17 +386,20 @@ def _formatted_aside(out_dir, chunks):
 def emit(result: PipelineResult, out_dir) -> list:
     """Write the run's text outputs into out_dir; returns the paths written.
 
-    The family's budget is checked before anything is written. For a large
-    family, a forked child formats bode_family.csv's last multipliers into
-    an unnamed temporary file in out_dir while this process writes every
-    other file and the first multipliers, and then appends the child's
-    part: the bytes are those of formatting the whole file here.
+    The family's budget is checked, and both bounds' settled_traces are
+    simulated, before out_dir is created. For a large family, a forked
+    child formats bode_family.csv's last multipliers into an unnamed
+    temporary file in out_dir while this process writes every other file
+    and the first multipliers, and then appends the child's part: the
+    bytes are those of formatting the whole file here.
     """
     wi = result.spec.wi
     with _stage("emit"):
         family_blocks = list(member_blocks(result.wd, wi, result.grid.omegas))
+        traces = [settled_trace(tf, result.spec) for tf in (result.bounds.lower,
+                                                             result.bounds.upper)]
         os.makedirs(out_dir, exist_ok=True)
-    split = _child_split(result)
+    split = _child_split(result, traces)
     written = []
 
     def write(name: str, chunks):
@@ -420,8 +422,8 @@ def emit(result: PipelineResult, out_dir) -> list:
             write(f"bode_{side}.csv", _envelope_csv(resp))
         family_path = write("bode_family.csv", chain(
             ["zeta,i,omega,mag,phase_deg\n"], _family_rows(result, family_blocks, range(1, split))))
-        write("trace_lower.csv", _trace_csv(result.traces[0]))
-        write("trace_upper.csv", _trace_csv(result.traces[1]))
+        for side, trace in zip(("lower", "upper"), traces):
+            write(f"trace_{side}.csv", _trace_csv(trace))
         if result.fit_reports is not None:
             for side, rep in zip(("lower", "upper"), result.fit_reports):
                 write(f"envelope_{side}.csv", _envelope_csv(rep.data))

@@ -1,10 +1,12 @@
-"""Step-response simulation and the round trip that reads bound metrics off it.
+"""Step-response simulation, and the round trip that measures the bounds.
 
-The transfer function is realized in controllable canonical form. Under a
-unit step the input is constant, so a zero-order hold is exact: one step of
-size h is the affine map x <- P x + f, with [[P, f], [0, 1]] = exp(h [[A, b],
-[0, 0]]) (Van Loan 1978). That step matrix is formed once, to rounding, and
-iterated, so the samples are exact at any step size.
+The transfer function T is realized in controllable canonical form in the
+time unit 1/w0, w0 the magnitude of its fastest pole, as T(w0 s), whose
+companion coefficients stay bounded however fast the bound is. Under a unit
+step the input is constant, so a zero-order hold is exact: one step of size
+u = h w0 is the affine map x <- P x + f, with [[P, f], [0, 1]] = exp(u [[A,
+b], [0, 0]]) (Van Loan 1978). That step matrix is formed once, to rounding,
+and iterated, so the samples, at the times k h, are exact at any step size.
 
 The iteration is applied in blocks of _BLOCK steps rather than one step at
 a time. Powers P^j and offsets S_j f (the state j steps after starting
@@ -18,9 +20,12 @@ step-by-step loop, so samples differ from it by rounding only. B = 128
 is kept: on traces of 10,001 and 40,000 samples, none of B = 64, 256 and
 512 ran faster than 128 in every one of three runs.
 
-round_trip measures each bound against its exact final value, the DC gain,
-simulates it once, up to a horizon that its poles fix (see _settle), and
-reads its overshoot, rise and settling times off that trace (_trace_metrics).
+round_trip measures each bound against its exact final value, the DC gain.
+A bound k/(s^2 + a s + b) with 0 < a < 2 sqrt(b) is a family member scaled
+by k/b: its overshoot has a closed form, and its rise and settling times are
+the sweep's unit-frequency crossings (timing.unit_times) over omega_n. Any
+other bound is simulated up to a horizon that its poles fix (settled_trace)
+and read off that trace (_trace_metrics). emit writes both settled_traces.
 """
 
 from __future__ import annotations
@@ -33,13 +38,16 @@ import numpy as np
 from .envelope import BoundPair
 from .errors import NumericalError
 from .family import Spec
+from .sos_core import overshoot
 from .tf_model import RationalTF, dc_gain
+from .timing import ToleranceBand, unit_times
 
 __all__ = [
     "StepTrace",
     "TimeDomainMetrics",
     "FinalTD",
     "step_response",
+    "settled_trace",
     "round_trip",
 ]
 
@@ -109,14 +117,17 @@ class FinalTD:
     upper: TimeDomainMetrics
 
 
-def _canonical(tf: RationalTF):
-    """The generator [[A, b], [0, 0]] and output row [c, d] on [x, 1]."""
-    den = tf.den / tf.den[0]
-    num = tf.num / tf.den[0]
-    m = den.size - 1
-    # padded to den's length, num[0] is the feedthrough d, 0 unless biproper
-    num = np.concatenate([np.zeros(den.size - num.size), num])
-    direct = num[0]
+def _canonical(tf: RationalTF, w0: float):
+    """Generator [[A, b], [0, 0]] and output row [c, d] on [x, 1] of T(w0 s)."""
+    m = tf.den_degree
+    # the coefficients of s**k in den and num, num padded to den's length,
+    # over den[0] w0**(m - k): w0 divides a factor at a time, so none overflows
+    den, num = coeffs = np.zeros((2, m + 1))
+    coeffs[0], coeffs[1, m + 1 - tf.num.size:] = tf.den, tf.num
+    coeffs /= tf.den[0]
+    for k in range(1, m + 1):
+        coeffs[:, k:] /= w0
+    direct = num[0]  # the feedthrough d, 0 unless biproper
     row = (num - direct * den)[::-1]  # c reversed, then 0 where d goes
     row[-1] = direct
     gen = np.zeros((m + 1, m + 1))
@@ -151,7 +162,7 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     else:
         h = float(step_size)
 
-    gen, row = _canonical(tf)
+    gen, row = _canonical(tf, fastest)
     m = gen.shape[0] - 1
 
     # a float until it has passed the budget: an infinite t_end has no int
@@ -166,14 +177,15 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     # powers[j] holds [[P^j, S_j f], [0, 1]], acting on [x, 1]
     powers = np.empty((_BLOCK + 1, m + 1, m + 1))
     powers[0] = np.eye(m + 1)
-    # powers[1] = exp(h gen) by scaling and squaring (Higham 2005): 2**-s takes
-    # the 1-norm of h A, which in companion form can far exceed h |fastest
-    # pole|, under 1/4, where the Taylor remainder past degree 12 is under
-    # 1e-17. The last column of (h gen)**k is h**k A**(k-1) b, so b is left out
-    # of the norm. Horner's rule runs over the factors h gen / 2**s / k
-    s = max(0, math.frexp(h * np.abs(gen[:, :m]).sum(axis=0).max())[1] + 2)
+    # powers[1] = exp(u gen), u = h w0, by scaling and squaring (Higham 2005):
+    # 2**-s takes the 1-norm of u A, which in companion form can exceed u,
+    # under 1/4, where the Taylor remainder past degree 12 is under 1e-17. The
+    # last column of (u gen)**k is u**k A**(k-1) b, so b is left out of the
+    # norm. Horner's rule runs over the factors u gen / 2**s / k
+    u = h * fastest
+    s = max(0, math.frexp(u * np.abs(gen[:, :m]).sum(axis=0).max())[1] + 2)
     step = powers[0]
-    for factor in gen * (math.ldexp(h, -s) / np.arange(12.0, 0.0, -1.0))[:, None, None]:
+    for factor in gen * (math.ldexp(u, -s) / np.arange(12.0, 0.0, -1.0))[:, None, None]:
         step = powers[0] + factor @ step
     for _ in range(s):
         step = step @ step
@@ -206,8 +218,8 @@ def step_response(tf: RationalTF, t_end: float, step_size: float | None = None) 
     return StepTrace(times, values, h)
 
 
-def _settle(tf: RationalTF, spec: Spec) -> tuple[TimeDomainMetrics, StepTrace]:
-    """Simulate one bound of a BoundPair, strictly stable, to its horizon.
+def settled_trace(tf: RationalTF, spec: Spec) -> StepTrace:
+    """Step response of a strictly stable bound of positive DC gain to its horizon.
 
     The horizon is the later of 3*ts and the modal time: y(t) = dc + sum_i
     c_i exp(p_i t), c_i = N(p_i) / (p_i D'(p_i)), is within eps * dc of dc
@@ -230,8 +242,7 @@ def _settle(tf: RationalTF, spec: Spec) -> tuple[TimeDomainMetrics, StepTrace]:
     amplitude = np.sum(np.abs(np.polyval(tf.num, poles) / (tf.den[0] * poles)) / gaps.prod(axis=1))
     modal = math.log(max(amplitude / (min(spec.dev, 0.1) * dc), 1.0)) / -np.max(poles.real)
     t_end = max(3.0 * spec.ts, float(modal) / (1.0 - 1.0 / _MIN_STEPS))
-    trace = step_response(tf, t_end)
-    return _trace_metrics(trace, dc, spec.dev), trace
+    return step_response(tf, t_end)
 
 
 def _trace_metrics(trace: StepTrace, final: float, dev: float) -> TimeDomainMetrics:
@@ -245,36 +256,49 @@ def _trace_metrics(trace: StepTrace, final: float, dev: float) -> TimeDomainMetr
     half_band = dev * final
     if not abs(y[-1] - final) <= half_band:
         raise NumericalError("unsettled trace")
-
-    mp = max(0.0, (float(np.max(y)) - final) / final)
+    peak = float(np.max(y))
+    if not peak >= 0.9 * final:
+        raise NumericalError("no rise: trace never reaches 90% of its final value")
 
     def first_crossing(level):
-        idx = np.nonzero(y >= level)[0]
-        if idx.size == 0:
-            return None
-        j = int(idx[0])
+        j = int(np.argmax(y >= level))
         if j == 0:
             return float(t[0])
         return float(t[j - 1] + (level - y[j - 1]) / (y[j] - y[j - 1]) * (t[j] - t[j - 1]))
 
-    t90 = first_crossing(0.9 * final)
-    if t90 is None:
-        raise NumericalError("no rise: trace never reaches 90% of its final value")
-    t10 = first_crossing(0.1 * final)
-    tr = t90 - t10
-
+    ts = 0.0
     outside = np.nonzero(np.abs(y - final) > half_band)[0]
-    if outside.size == 0:
-        ts = 0.0
-    else:
+    if outside.size:
         j = int(outside[-1])
         boundary = final + half_band if y[j] > final else final - half_band
         ts = float(t[j] + (boundary - y[j]) / (y[j + 1] - y[j]) * (t[j + 1] - t[j]))
+    tr = first_crossing(0.9 * final) - first_crossing(0.1 * final)
+    return TimeDomainMetrics(max(0.0, (peak - final) / final), tr, ts, final)
 
-    return TimeDomainMetrics(mp=mp, tr=tr, ts=ts, final_value=final)
+
+def _member(tf: RationalTF):
+    """(zeta, omega_n) of a bound k/(s^2 + a s + b), k/b > 0 and 0 < a < 2 sqrt(b):
+    the member of that damping and natural frequency scaled by k/b; else None."""
+    if tf.num.size != 1 or tf.den.size != 3:
+        return None
+    d0, d1, d2 = tf.den.tolist()
+    if not (d2 / d0 > 0 and dc_gain(tf) > 0):
+        return None
+    omega_n = math.sqrt(d2 / d0)
+    zeta = d1 / d0 / (2.0 * omega_n)
+    return (zeta, omega_n) if 0 < zeta < 1 else None
 
 
-def round_trip(bounds: BoundPair, spec: Spec) -> tuple[FinalTD, tuple[StepTrace, StepTrace]]:
-    """Simulate both bounds once and measure them against their DC gains."""
-    lower, upper = (_settle(tf, spec) for tf in (bounds.lower, bounds.upper))
-    return FinalTD(lower=lower[0], upper=upper[0]), (lower[1], upper[1])
+def round_trip(bounds: BoundPair, spec: Spec) -> FinalTD:
+    """Measure both bounds against their DC gains: a family member by
+    overshoot(zeta) and its unit_times over omega_n, both bounds' in one
+    batch, and any other bound off its settled_trace."""
+    tfs = (bounds.lower, bounds.upper)
+    members = [_member(tf) for tf in tfs]
+    zetas = [m[0] for m in members if m]
+    band = ToleranceBand(spec.dev)
+    times = zip(*[a.tolist() for a in unit_times(zetas, band)]) if zetas else None
+    return FinalTD(*[
+        _trace_metrics(settled_trace(tf, spec), dc_gain(tf), spec.dev) if m is None else
+        TimeDomainMetrics(overshoot(m[0]), *(t / m[1] for t in next(times)), dc_gain(tf))
+        for tf, m in zip(tfs, members)])

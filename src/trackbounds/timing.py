@@ -1,17 +1,16 @@
 """Rise and settling times of the closed-form second-order step response,
 the damping sweep's natural frequencies, and the paper's inverse
-interpolation of a crossing in sampled data. The metrics of a simulated
-trace are read by simulate, which owns the round trip.
+interpolation of a crossing in sampled data.
 
 Crossings of the closed-form unit step response are solved by bracketed
 Newton iteration on the closed form itself, whose exact derivative is the
 unit impulse response: each step keeps a window the response is monotone
 on, and a Newton step that would leave it is replaced by bisection. The
-crossings are solved in batches: every crossing of a damping sweep (the 10%
-and 90% crossings and the settling crossing of each damping ratio) is one
-row of numpy arrays, all rows take one Newton or bisection step per pass,
-and a converged row leaves the batch. A single rise or settling time is a
-batch of one damping ratio.
+crossings are solved in batches: every crossing of a set of damping ratios
+(the 10% and 90% crossings and the settling crossing of each) is one row of
+numpy arrays, all rows take one Newton or bisection step per pass, and a
+converged row leaves the batch. unit_times solves one batch: the sweep's
+through a cache, and the round trip's for bounds that are family members.
 
 A crossing of sampled data is read by the paper's fifth-order Newton
 forward-difference inverse interpolation on one window of six equally
@@ -39,8 +38,7 @@ from .sos_core import closed_form_step
 __all__ = [
     "ToleranceBand",
     "newton_inverse_interp",
-    "unit_rise_time",
-    "unit_settling_time",
+    "unit_times",
     "omega_ns_for",
 ]
 
@@ -181,11 +179,6 @@ def _crossings(zeta, lo, hi, target):
     return result
 
 
-def _check_damping(zetas) -> None:
-    if not np.all((zetas > 0) & (zetas < 1)):
-        raise ValueError("damping ratio must lie strictly inside (0, 1)")
-
-
 def _rise_rows(zetas):
     """(zeta, lo, hi, target) rows of the 10% crossings, then the 90% ones.
 
@@ -217,19 +210,14 @@ def _settling_rows(zetas, band: ToleranceBand):
     return zetas, lo, hi, target
 
 
-def unit_rise_time(zeta: float) -> float:
-    """10%-90% rise time of the unit-frequency step response."""
-    zetas = np.array([zeta], dtype=float)
-    _check_damping(zetas)
-    t10, t90 = _crossings(*_rise_rows(zetas))
-    return float(t90 - t10)
-
-
-def unit_settling_time(zeta: float, band: ToleranceBand) -> float:
-    """Last entry of the unit-frequency step response into the band."""
-    zetas = np.array([zeta], dtype=float)
-    _check_damping(zetas)
-    return float(_crossings(*_settling_rows(zetas, band))[0])
+def unit_times(zetas, band: ToleranceBand):
+    """Unit-frequency 10%-90% rise and settling times per damping ratio, one batch."""
+    zetas = np.asarray(zetas, dtype=float).ravel()
+    if not np.all((zetas > 0) & (zetas < 1)):
+        raise ValueError("damping ratio must lie strictly inside (0, 1)")
+    rows = [np.concatenate(parts) for parts in zip(_rise_rows(zetas), _settling_rows(zetas, band))]
+    t10, t90, settle = _crossings(*rows).reshape(3, -1)
+    return t90 - t10, settle.copy()
 
 
 def omega_ns_for(zetas, tr_spec: float, ts_spec: float, band: ToleranceBand) -> np.ndarray:
@@ -244,19 +232,13 @@ def omega_ns_for(zetas, tr_spec: float, ts_spec: float, band: ToleranceBand) -> 
         raise ValueError("rise time specification must be positive")
     if not ts_spec > 0:
         raise ValueError("settling time specification must be positive")
-    zetas = np.asarray(zetas, dtype=float).ravel()
-    _check_damping(zetas)
-    rise, settle = _unit_times(zetas.tobytes(), band.dev)
+    rise, settle = _unit_times(np.asarray(zetas, dtype=float).ravel().tobytes(), band.dev)
     return np.maximum(rise / tr_spec, settle / ts_spec)
 
 
 @functools.lru_cache(maxsize=_UNIT_TIMES_CACHE)
 def _unit_times(zeta_bytes: bytes, dev: float):
-    """Read-only unit-frequency rise and settling times of a damping grid."""
-    zetas = np.frombuffer(zeta_bytes)
-    rows = [np.concatenate(parts)
-            for parts in zip(_rise_rows(zetas), _settling_rows(zetas, ToleranceBand(dev)))]
-    t10, t90, settle = _crossings(*rows).reshape(3, -1)
-    rise, settle = t90 - t10, settle.copy()
+    """Read-only unit_times of a damping grid, kept for the sweep."""
+    rise, settle = unit_times(np.frombuffer(zeta_bytes), ToleranceBand(dev))
     rise.flags.writeable = settle.flags.writeable = False
     return rise, settle

@@ -157,18 +157,21 @@ def horner(coeffs, s):
 def loop_step_response(tf, step_size, n_steps):
     """Exact step response stepped one sample at a time, z <- E z on z = [x, 1].
 
-    E = exp(step_size [[A, b], [0, 0]]) is built as the simulator builds it:
-    scaled by 2**-s to a 1-norm under 1/4, summed to Taylor degree 12 by
-    Horner's rule, and squared s times.
+    E = exp(u [[A, b], [0, 0]]) is built as the simulator builds it, in the
+    time unit 1/w0, w0 the fastest pole's magnitude, where the step is u =
+    step_size * w0: scaled by 2**-s to a 1-norm under 1/4, summed to Taylor
+    degree 12 by Horner's rule, and squared s times.
     """
     from trackbounds.simulate import _canonical
 
-    gen, row = _canonical(tf)
+    w0 = float(np.max(np.abs(tf.poles)))
+    gen, row = _canonical(tf, w0)
     n = gen.shape[0]
-    s = max(0, math.frexp(step_size * np.abs(gen).sum(axis=0).max())[1] + 2)
+    u = step_size * w0
+    s = max(0, math.frexp(u * np.abs(gen).sum(axis=0).max())[1] + 2)
     step = np.eye(n)
     for k in range(12, 0, -1):
-        step = np.eye(n) + (gen * (math.ldexp(step_size, -s) / k)) @ step
+        step = np.eye(n) + (gen * (math.ldexp(u, -s) / k)) @ step
     for _ in range(s):
         step = step @ step
     states = np.empty((n_steps + 1, n))
@@ -180,20 +183,36 @@ def loop_step_response(tf, step_size, n_steps):
     return states @ row
 
 
-def oracle_modal_step(tf, t):
-    """Exact step response of a function with simple poles, by partial fractions.
+def modal_terms(tf):
+    """Poles p_i, step-response mode coefficients c_i = N(p_i) / (p_i D'(p_i))
+    and direct feedthrough D of a function with simple poles.
 
-    y(t) = D + sum_i r_i / p_i (exp(p_i t) - 1) with r_i = N(p_i) / D'(p_i)
-    and D the direct feedthrough (zero unless the function is biproper).
+    The step response is y(t) = D + sum_i c_i (exp(p_i t) - 1), and its
+    final value D - sum_i c_i.
     """
     num = np.asarray(tf.num, dtype=float)
     den = np.asarray(tf.den, dtype=float)
     poles = np.roots(den)
     residues = np.polyval(num, poles) / np.polyval(np.polyder(den), poles)
     direct = num[0] / den[0] if num.size == den.size else 0.0
+    return poles, residues / poles, direct
+
+
+def oracle_modal_step(tf, t, chunk=2**15):
+    """Exact step response of a function with simple poles, by partial fractions.
+
+    y(t) = D + sum_i r_i / p_i (exp(p_i t) - 1) with r_i = N(p_i) / D'(p_i)
+    and D the direct feedthrough (zero unless the function is biproper),
+    evaluated chunk samples at a time: each chunk's modes take 16 bytes per
+    pole and sample.
+    """
+    poles, coeffs, direct = modal_terms(tf)
     t = np.asarray(t, dtype=float)
-    modes = (residues / poles)[:, None] * np.expm1(np.outer(poles, t))
-    return direct + np.real(np.sum(modes, axis=0))
+    out = np.empty(t.shape)
+    for start in range(0, t.size, chunk):
+        modes = coeffs[:, None] * np.expm1(np.outer(poles, t.flat[start:start + chunk]))
+        out.flat[start:start + chunk] = direct + np.real(np.sum(modes, axis=0))
+    return out
 
 
 def family_tfs(table, i):

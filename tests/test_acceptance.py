@@ -67,7 +67,7 @@ class TestAcceptance:
         worst_ratio_lo, worst_ratio_hi, worst_mp = 1.0, 1.0, 0.0
         for pair in table.pairs:
             tf = make_tf(pair)
-            m = round_trip(BoundPair(tf, tf), SPEC)[0].lower
+            m = round_trip(BoundPair(tf, tf), SPEC).lower
             ratio = max(m.tr / SPEC.tr, m.ts / SPEC.ts)
             worst_ratio_lo = min(worst_ratio_lo, ratio)
             worst_ratio_hi = max(worst_ratio_hi, ratio)

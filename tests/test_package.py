@@ -17,11 +17,11 @@ MODULES = ("errors", "tf_model", "sos_core", "timing", "family", "envelope", "ra
 EXPORTED = """
     __version__ NumericalError RationalTF FrequencyGrid FrequencyResponse eval_poly
     freq_response dc_gain SecondOrderParams zeta_min overshoot step_value make_tf
-    scale_omega ToleranceBand TimeDomainMetrics newton_inverse_interp unit_rise_time
-    unit_settling_time omega_ns_for Spec WdTable build_wd
+    scale_omega ToleranceBand TimeDomainMetrics newton_inverse_interp unit_times
+    omega_ns_for Spec WdTable build_wd
     member_blocks member_terms format_wd_table parse_wd_table read_wd_table BoundPair
     make_grid envelope_of select_restricted format_envelope FitProblem FitReport fit cleanup
-    report format_fit_report StepTrace FinalTD step_response round_trip
+    report format_fit_report StepTrace FinalTD step_response settled_trace round_trip
     format_trace PipelineResult SummaryDoc run_pipeline emit format_summary parse_summary
     summary_skeleton
 """.split()

@@ -26,9 +26,10 @@ from trackbounds import (
     read_wd_table,
     run_pipeline,
     scale_omega,
+    settled_trace,
     summary_skeleton,
 )
-from trackbounds import envelope, family, pipeline
+from trackbounds import envelope, family, pipeline, simulate, timing
 from trackbounds.cli import main
 
 
@@ -78,7 +79,8 @@ class TestRunPipeline:
         assert result_low.wd is example_wd_table
         assert result_low.spec is example_spec
         assert result_low.fit_reports is None
-        assert result_low.traces is not None
+        # traces are emit's, not the result's
+        assert "traces" not in {field.name for field in dataclasses.fields(result_low)}
         assert result_low.final.upper.mp == pytest.approx(0.15, abs=2e-3)
         assert result_low.final.lower.final_value == pytest.approx(1.0, abs=1e-3)
 
@@ -174,11 +176,37 @@ class TestRunPipeline:
         result = run_pipeline(example_spec, mode="envelope", points=2000,
                               wd_table=example_wd_table)
         assert computed() == {"trackbounds.envelope": entries}
-        assert 1 < pipeline._child_split(result) <= example_spec.wi
+        assert 1 < pipeline._child_split(result, traces_of(result)) <= example_spec.wi
         emit(result, tmp_path / "out")
         assert computed() == {"trackbounds.pipeline": entries}
         run_pipeline(example_spec, mode="low", wd_table=example_wd_table)
         assert computed() == {"trackbounds.envelope": 2 * len(example_wd_table)}
+
+    def test_only_emit_and_non_members_simulate(self, monkeypatch, example_spec, tmp_path):
+        # the round trip reads family members from the sweep's solver, with
+        # no trace and no entry in the sweep's cache; emit simulates both
+        # bounds once, and a bound that is not a member is simulated
+        calls = 0
+        step_response = simulate.step_response
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return step_response(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "step_response", counting)
+        d2 = dataclasses.replace(example_spec, tr=0.001, ts=3000.0)
+        for spec in (example_spec, d2):
+            for mode in pipeline.MODES:
+                result = run_pipeline(spec, mode=mode)
+                cached = timing._unit_times.cache_info().currsize
+                simulate.round_trip(result.bounds, spec)
+                assert (calls, timing._unit_times.cache_info().currsize) == (0, cached)
+        emit(run_pipeline(example_spec, mode="envelope"), tmp_path)
+        assert calls == 2
+        calls = 0
+        run_pipeline(example_spec, mode="envelope", zeros=1, poles=2)
+        assert calls >= 1
 
     def test_mode_validation(self, example_spec):
         with pytest.raises(ValueError, match="mode"):
@@ -351,7 +379,7 @@ class TestEmit:
         def bode(resp):
             return as_lists(resp.grid.omegas, resp.magnitude(), np.degrees(resp.phase()))
 
-        for side, trace, rep in zip(("lower", "upper"), result_env.traces,
+        for side, trace, rep in zip(("lower", "upper"), traces_of(result_env),
                                     result_env.fit_reports):
             assert columns(f"trace_{side}.csv") == ("t,y", as_lists(trace.times, trace.values))
             assert columns(f"bode_{side}.csv") == ("omega,mag,phase_deg", bode(rep.response))
@@ -377,18 +405,19 @@ class TestEmit:
         np.testing.assert_allclose(np.radians(phase_deg), np.angle(ref).ravel(), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_chunk_boundaries_keep_every_row(self, result_low, tmp_path, extra):
+    def test_chunk_boundaries_keep_every_row(self, result_low, tmp_path, monkeypatch, extra):
         # a trace of exactly one CSV chunk, and of one chunk and one row
         times = np.arange(pipeline._CSV_CHUNK_ROWS + extra) / 3.0
         trace = StepTrace(times, np.sqrt(times), 1 / 3.0)
         reference = "t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in
                                       zip(trace.times.tolist(), trace.values.tolist()))
         assert format_trace(trace) == reference
-        emit(dataclasses.replace(result_low, traces=(trace, trace)), tmp_path)
+        monkeypatch.setattr(pipeline, "settled_trace", lambda tf, spec: trace)
+        emit(result_low, tmp_path)
         assert (tmp_path / "trace_lower.csv").read_bytes() == reference.encode("ascii")
 
     def test_peak_memory_is_bounded(self, result_env, example_spec, example_wd_table,
-                                    tmp_path):
+                                    tmp_path, monkeypatch):
         # wi * pairs * points = 750,000 bode_family.csv rows, written one
         # member block and one CSV chunk at a time; a forked child formats
         # the last multipliers, which the same generator formats here again
@@ -396,10 +425,15 @@ class TestEmit:
         result = run_pipeline(dataclasses.replace(example_spec, wi=50), mode="envelope",
                               points=1500, wd_table=example_wd_table)
         wi = result.spec.wi
-        split = pipeline._child_split(result)
+        traces = traces_of(result)
+        split = pipeline._child_split(result, traces)
         assert 1 < split <= wi
         blocks = list(family.member_blocks(result.wd, wi, result.grid.omegas))
         emit(result_env, tmp_path)  # a small emit first, so no first use is counted
+        # the formatting's memory alone: emit's traces are simulated here,
+        # before the measurement starts
+        monkeypatch.setattr(pipeline, "settled_trace",
+                            lambda tf, spec: traces[tf is result.bounds.upper])
         tracemalloc.start()
         try:
             emit(result, tmp_path)
@@ -423,8 +457,13 @@ def result_blocks(example_spec, example_wd_table):
     result = run_pipeline(example_spec, mode="envelope", points=1500, wd_table=example_wd_table)
     blocks = family.member_blocks(result.wd, result.spec.wi, result.grid.omegas)
     assert [list(block) for block in blocks] == [[1, 2, 3, 4], [5]]
-    assert pipeline._child_split(result) == 2
+    assert pipeline._child_split(result, traces_of(result)) == 2
     return result
+
+
+def traces_of(result):
+    """The step responses emit writes for a result's bounds."""
+    return [settled_trace(tf, result.spec) for tf in (result.bounds.lower, result.bounds.upper)]
 
 
 def assert_same_files(first: list, second: list):
@@ -446,11 +485,11 @@ class TestForkedEmit:
                              ids=["estimated", "inside-a-block", "on-a-block-edge",
                                   "every-multiplier"])
     def test_writes_the_in_process_bytes(self, result_blocks, tmp_path, monkeypatch, split):
-        monkeypatch.setattr(pipeline, "_child_split", lambda result: result.spec.wi + 1)
+        monkeypatch.setattr(pipeline, "_child_split", lambda result, traces: result.spec.wi + 1)
         serial = emit(result_blocks, tmp_path / "serial")
         monkeypatch.undo()
         if split is not None:
-            monkeypatch.setattr(pipeline, "_child_split", lambda result: split)
+            monkeypatch.setattr(pipeline, "_child_split", lambda result, traces: split)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
@@ -545,7 +584,7 @@ class TestForkedEmit:
 
     def test_worked_example_is_formatted_in_process(self, result_env, tmp_path, monkeypatch):
         # its 10,000 family rows are below the child's floor
-        assert pipeline._child_split(result_env) == result_env.spec.wi + 1
+        assert pipeline._child_split(result_env, traces_of(result_env)) == result_env.spec.wi + 1
 
         def no_fork():
             raise AssertionError("emit forked")
@@ -565,6 +604,8 @@ def run_ok(capsys, args) -> str:
 
 class TestCli:
     BASE = ["--mp", "0.15", "--tr", "5", "--ts", "30", "--dev", "0.03", "--wi", "5"]
+    # D2, a stiff spec: rise 3e6 times faster than settling
+    D2 = ["--mp", "0.15", "--tr", "0.001", "--ts", "3000", "--dev", "0.03", "--wi", "5"]
 
     def test_success_prints_parseable_summary(self, capsys, example_wd_path):
         out = run_ok(capsys, self.BASE + ["--mode", "low", "--wd-table", str(example_wd_path)])
@@ -624,10 +665,10 @@ class TestCli:
     @pytest.mark.parametrize("args, stage", [
         # cleanup removes every pole of a (2,5) fit
         (BASE + ["--mode", "envelope", "--zeros", "2", "--poles", "5"], "cleanup"),
-        # fast poles over a long settling horizon: the lower bound alone
-        # needs about 5.3e8 simulation steps
-        (["--mp", "0.15", "--tr", "0.001", "--ts", "3000", "--dev", "0.03", "--wi", "5"],
-         "round_trip"),
+        # fast poles over a long settling horizon: the (1,2) fits are not
+        # family members, so the round trip simulates them, and the lower
+        # bound alone needs far more steps than the budget
+        (D2 + ["--mode", "envelope", "--zeros", "1", "--poles", "2"], "round_trip"),
         # work sized from user input is checked against a budget before it runs
         (BASE + ["--points", "200000000"], "grid"),
         (BASE + ["--zeta-step", "1e-7"], "wd_table"),
@@ -673,19 +714,32 @@ class TestCli:
         assert err.startswith(f"trackbounds: numerical failure: {stage}: ")
         assert elapsed < 2.0
 
-    @pytest.mark.parametrize("ts", ["inf", "1e308", "1e200"])
-    def test_endless_settling_horizon_fails_in_round_trip(self, capsys, ts):
-        # 3 * ts overflows to inf, or needs about 4e201 steps: both are
-        # checked against the budget as floats, and the count prints short
-        args = ["--mp", "0.15", "--tr", "5", "--ts", ts, "--dev", "0.03", "--wi", "5"]
+    @pytest.mark.parametrize("mode", ["low", "high", "envelope"])
+    def test_stiff_spec_round_trips_in_every_mode(self, capsys, mode):
+        # D2's bounds are family members: the round trip reads them without
+        # a trace
+        doc = parse_summary(run_ok(capsys, self.D2 + ["--mode", mode]))
+        for metrics in (doc.final.lower, doc.final.upper):
+            assert np.all(np.isfinite([metrics.mp, metrics.tr, metrics.ts, metrics.final_value]))
+
+    @pytest.mark.parametrize("args", [D2] + [
+        ["--mp", "0.15", "--tr", "5", "--ts", ts, "--dev", "0.03", "--wi", "5"]
+        for ts in ("inf", "1e308", "1e200")], ids=["d2", "inf", "1e308", "1e200"])
+    def test_trace_over_budget_fails_in_emit(self, capsys, tmp_path, args):
+        # D2's lower bound needs about 5.8e8 simulation steps; 3 * ts
+        # overflows to inf, or needs about 4e201 steps: both are checked
+        # against the budget as floats, the count prints short, and the
+        # output directory is not created
+        out_dir = tmp_path / "run"
         start = time.perf_counter()
-        code = main(args)
+        code = main(args + ["--out", str(out_dir)])
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("trackbounds: numerical failure: round_trip: simulation needs ")
+        assert err.startswith("trackbounds: numerical failure: emit: simulation needs ")
         assert len(err) < 250
         assert elapsed < 2.0
+        assert not out_dir.exists()
 
     def test_oversized_family_output_fails_naming_emit(self, capsys, tmp_path):
         # low mode evaluates the family at one frequency only; bode_family.csv
@@ -710,7 +764,7 @@ class TestCli:
         doc = parse_summary(out)
         assert doc.final.lower.final_value > 0 and doc.final.upper.final_value > 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-            "9fb8229269576c0b0eaa6edf6f680780df5d3a4aed7c6442cf5e5af4eb0473d7")
+            "8db8f137d5a29af281aebfe7993d0654069275a132f478515acfd4c7938dcfe9")
 
     def test_slow_lower_bound_extends_its_trace(self, capsys, tmp_path, example_wd_path):
         # the (4,6) lower fit rings for minutes: its poles size the trace at
@@ -745,27 +799,27 @@ class TestWorkedExampleBytes:
 
     PINNED = {
         "low": {
-            "stdout": "df2cf7c6d63253101e6191e9af711c41250ebaae8c129bf17e91e6d7b918d9fd",
+            "stdout": "2b1cbd5962c4b63af53016c50accc90a585715062f55893552f942d704723468",
             "bode_family.csv": "288caa3c28fc60a81502d415fe8184a5e5dca5650cb2110bfa3e5761ad493a1a",
             "bode_lower.csv": "02c6c539f76c7ef00064a9d650d9aa0ac9a5fa2ee8973312408aa0591904453e",
             "bode_upper.csv": "e5905e6b90955f40577f57bb2d7138da1466525685015a5c8ac42f1165da0049",
-            "summary.txt": "df2cf7c6d63253101e6191e9af711c41250ebaae8c129bf17e91e6d7b918d9fd",
-            "trace_lower.csv": "6b6044088d6ba2c1041c95e9af2e1f4886d8a64513ce8afdd9e663892e777106",
-            "trace_upper.csv": "fbc0f8d86f37ed49ffb714b79d640e8b3835e3f4896ec032beea92ae9db5b97d",
+            "summary.txt": "2b1cbd5962c4b63af53016c50accc90a585715062f55893552f942d704723468",
+            "trace_lower.csv": "8ec41142486153c7ac48885c8d3ea653bbc3dc22442d78e6fee75fec7044ef84",
+            "trace_upper.csv": "24250fc91b475bb1dc2317f90216738da092e5fc43d93312773ccdd9082c207e",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "high": {
-            "stdout": "74b2e58c23e138236e953d9a56daac8cb75475e00dfa47d5c100b80c3dcfd7cd",
+            "stdout": "4ae57e6358d6881931b67258f18308792845a821515535c298aa4446e7e18fd7",
             "bode_family.csv": "288caa3c28fc60a81502d415fe8184a5e5dca5650cb2110bfa3e5761ad493a1a",
             "bode_lower.csv": "74fe483ef426edcc9be84c24fd277349e04fbab35fe94bfb17d98d4d8959adc6",
             "bode_upper.csv": "501e42c3df9f9b57220bf770ff5a96db50612bd7183331f9acda30e937e435b5",
-            "summary.txt": "74b2e58c23e138236e953d9a56daac8cb75475e00dfa47d5c100b80c3dcfd7cd",
-            "trace_lower.csv": "8ee5c6e013572193039b83cdd318703cf9e81764358bd84d9e82e4a50cf6f019",
-            "trace_upper.csv": "eb72e224e073413efd0e1e8af743d70ccaa3a21c76dbb5f72ed506e15b770a73",
+            "summary.txt": "4ae57e6358d6881931b67258f18308792845a821515535c298aa4446e7e18fd7",
+            "trace_lower.csv": "9fccb04a6f9e04d0883abe48a4b42294ecd0028d8702f3f87b7513de2902072b",
+            "trace_upper.csv": "b11750aead083254b568d813e0b1f3ba4d1217da9160d29e8c4aa0d4b07b4212",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
         "envelope": {
-            "stdout": "4455b67bf72c92447f81b606f0ff2d68b5d1e7070d97b14342331db79ca100b9",
+            "stdout": "3cd9b55287a1d22ceaab9a35058317f041f41ed1d9402d68e296584fc6c28061",
             "bode_family.csv": "288caa3c28fc60a81502d415fe8184a5e5dca5650cb2110bfa3e5761ad493a1a",
             "bode_lower.csv": "e99d399587c890ac5fef1a7e2808786f5353e4c1f957729d7ec4c4569485fd17",
             "bode_upper.csv": "b9a59c458b465766cadcc14e3cda0fb46b5c1d0f79461358bcda5e92cce2e03d",
@@ -773,9 +827,9 @@ class TestWorkedExampleBytes:
             "envelope_upper.csv": "bdd22cbe8ee5dcbc37a1d55388dd70fc091854ab2edd11d0b5b3f2411b70855d",
             "fit_report_lower.csv": "e5a0f8e8096988a00acb545ee2bd6ecbe64fb7f15a7320bd6b68a9e15d4fa5ef",
             "fit_report_upper.csv": "0aaed278c3ef53766bc0d5724de04a9618d52f601ad75cb030d214abcdc489e6",
-            "summary.txt": "4455b67bf72c92447f81b606f0ff2d68b5d1e7070d97b14342331db79ca100b9",
-            "trace_lower.csv": "5e3233b7331464f7d7fa9fa0463ecf995c7ff103c2e46cfa517518729d92ff9c",
-            "trace_upper.csv": "555542a278718eb4b7376ec3f054590c759df7130ea12592cc1aad34329bbc9a",
+            "summary.txt": "3cd9b55287a1d22ceaab9a35058317f041f41ed1d9402d68e296584fc6c28061",
+            "trace_lower.csv": "51916ab384a5f08e86c829dc0cc5d20f7490b9cf1dc5719451d99b8095c166bb",
+            "trace_upper.csv": "266fe61db0bef351ee50b344b51bcac254efbabe8d11dec7473ceee7507b2775",
             "wd_table.csv": "6646c38af96695e07ed0429128be6ce7360fba10a2652e8ee78944562aa7a873",
         },
     }

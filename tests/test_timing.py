@@ -16,11 +16,18 @@ from trackbounds import (
     omega_ns_for,
     step_value,
     timing,
-    unit_rise_time,
-    unit_settling_time,
+    unit_times,
 )
 
 BAND = ToleranceBand(0.03)
+
+
+def unit_rise_time(zeta):
+    return float(unit_times([zeta], BAND)[0][0])
+
+
+def unit_settling_time(zeta, band):
+    return float(unit_times([zeta], band)[1][0])
 WORKED = Spec(mp=0.15, tr=5.0, ts=30.0, dev=0.03, wi=5)
 
 # frozen reference values from the independent bisection oracle in oracles.py
@@ -330,11 +337,12 @@ class TestUnitRiseTime:
 
     def test_near_critical_damping_needs_no_extra_passes(self, monkeypatch):
         # the first peak recedes without bound as zeta -> 1; the crossings do not
+        # the rise rows alone: unit_times solves the settling crossing with them
         passes = solver_passes(monkeypatch)
-        unit_rise_time(0.9)
+        timing._crossings(*timing._rise_rows(np.array([0.9])))
         at_0_9 = len(passes)
         passes.clear()
-        unit_rise_time(0.99999)
+        timing._crossings(*timing._rise_rows(np.array([0.99999])))
         assert 0 < len(passes) <= at_0_9
 
     def test_monotone_in_damping(self):
