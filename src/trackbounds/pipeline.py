@@ -131,10 +131,8 @@ def run_pipeline(spec: Spec, mode: str = "low", zeta_step: float = 0.05,
     with _stage("round_trip"):
         final = round_trip(bounds, spec)
 
-    return PipelineResult(
-        spec=spec, mode=mode, wd=table, bounds=bounds, final=final, grid=grid,
-        fit_reports=fit_reports,
-    )
+    return PipelineResult(spec=spec, mode=mode, wd=table, bounds=bounds, final=final, grid=grid,
+                          fit_reports=fit_reports)
 
 
 # the summary's keys in document order, for format_summary and parse_summary;
@@ -393,11 +391,10 @@ def emit(result: PipelineResult, out_dir) -> list:
     and the first multipliers, and then appends the child's part: the
     bytes are those of formatting the whole file here.
     """
-    wi = result.spec.wi
+    wi, tfs = result.spec.wi, (result.bounds.lower, result.bounds.upper)
     with _stage("emit"):
         family_blocks = list(member_blocks(result.wd, wi, result.grid.omegas))
-        traces = [settled_trace(tf, result.spec) for tf in (result.bounds.lower,
-                                                             result.bounds.upper)]
+        traces = [settled_trace(tf, result.spec) for tf in tfs]
         os.makedirs(out_dir, exist_ok=True)
     split = _child_split(result, traces)
     written = []
@@ -412,7 +409,7 @@ def emit(result: PipelineResult, out_dir) -> list:
     if result.fit_reports is not None:
         bode = [rep.response for rep in result.fit_reports]
     else:
-        bode = [freq_response(tf, result.grid) for tf in (result.bounds.lower, result.bounds.upper)]
+        bode = [freq_response(tf, result.grid) for tf in tfs]
     tail_rows = _family_rows(result, family_blocks, range(split, wi + 1))
     with _stage("emit"), (_formatted_aside(out_dir, tail_rows) if split <= wi
                           else nullcontext(lambda path: None)) as append_tail:
@@ -427,7 +424,6 @@ def emit(result: PipelineResult, out_dir) -> list:
         if result.fit_reports is not None:
             for side, rep in zip(("lower", "upper"), result.fit_reports):
                 write(f"envelope_{side}.csv", _envelope_csv(rep.data))
-            for side, rep in zip(("lower", "upper"), result.fit_reports):
                 write(f"fit_report_{side}.csv", _fit_report_csv(rep))
         append_tail(family_path)
     return written

@@ -290,15 +290,20 @@ def _member(tf: RationalTF):
 
 
 def round_trip(bounds: BoundPair, spec: Spec) -> FinalTD:
-    """Measure both bounds against their DC gains: a family member by
-    overshoot(zeta) and its unit_times over omega_n, both bounds' in one
-    batch, and any other bound off its settled_trace."""
+    """Measure both bounds against their DC gains: family members by overshoot
+    and one unit_times batch, any other bound off its settled_trace."""
     tfs = (bounds.lower, bounds.upper)
     members = [_member(tf) for tf in tfs]
-    zetas = [m[0] for m in members if m]
-    band = ToleranceBand(spec.dev)
-    times = zip(*[a.tolist() for a in unit_times(zetas, band)]) if zetas else None
-    return FinalTD(*[
-        _trace_metrics(settled_trace(tf, spec), dc_gain(tf), spec.dev) if m is None else
-        TimeDomainMetrics(overshoot(m[0]), *(t / m[1] for t in next(times)), dc_gain(tf))
-        for tf, m in zip(tfs, members)])
+    zetas = [m[0] for m in members if m is not None]
+    if zetas:
+        rise, settle = unit_times(zetas, ToleranceBand(spec.dev))
+    metrics, row = [], 0
+    for tf, m in zip(tfs, members):
+        if m is None:
+            metrics.append(_trace_metrics(settled_trace(tf, spec), dc_gain(tf), spec.dev))
+        else:
+            zeta, omega_n = m
+            metrics.append(TimeDomainMetrics(overshoot(zeta), float(rise[row]) / omega_n,
+                                             float(settle[row]) / omega_n, dc_gain(tf)))
+            row += 1
+    return FinalTD(*metrics)

@@ -289,13 +289,17 @@ class TestModalStepResponse:
 
 class TestSettledStepResponse:
     """The trace settled_trace simulates for a bound, with one horizon sized
-    from its poles, and the bound's round-trip metrics against the exact DC
-    gain."""
+    from its poles, and the metrics the simulated reader (_trace_metrics)
+    takes off it against the exact DC gain."""
 
     @staticmethod
     def settle(tf, ts, dev):
-        spec = Spec(mp=0.5, tr=ts, ts=ts, dev=dev, wi=1)
-        return round_trip(BoundPair(tf, tf), spec).lower, settled_trace(tf, spec)
+        trace = settled_trace(tf, Spec(mp=0.5, tr=ts, ts=ts, dev=dev, wi=1))
+        return simulate._trace_metrics(trace, dc_gain(tf), dev), trace
+
+    @staticmethod
+    def exact(tf, ts, dev):
+        return round_trip(BoundPair(tf, tf), Spec(mp=0.5, tr=ts, ts=ts, dev=dev, wi=1)).lower
 
     def test_settled_immediately_for_fast_system(self):
         m, trace = self.settle(make_tf(MEMBER1), 30.0, 0.03)
@@ -323,6 +327,8 @@ class TestSettledStepResponse:
         monkeypatch.setattr(simulate, "step_response", never)
         with pytest.raises(NumericalError, match="degenerate final value -1.0"):
             self.settle(RationalTF([-1.0], [1.0, 1.0]), 5.0, 0.03)
+        with pytest.raises(NumericalError, match="degenerate final value -1.0"):
+            self.exact(RationalTF([-1.0], [1.0, 1.0]), 5.0, 0.03)
 
     def test_static_bound_raises_at_once(self, monkeypatch):
         def never(*args, **kwargs):
@@ -331,13 +337,20 @@ class TestSettledStepResponse:
         monkeypatch.setattr(simulate, "step_response", never)
         with pytest.raises(ValueError, match="static"):
             self.settle(RationalTF([2.0], [4.0]), 5.0, 0.03)
+        with pytest.raises(ValueError, match="static"):
+            self.exact(RationalTF([2.0], [4.0]), 5.0, 0.03)
 
     def test_lightly_damped_trace_settles_within_its_horizon(self):
         # rings down only after ln(1 / (dev * sqrt(1 - zeta**2))) / zeta = 921 s
-        m, trace = self.settle(make_tf(SecondOrderParams(1.0, 0.01)), 0.001, 0.0001)
+        tf = make_tf(SecondOrderParams(1.0, 0.01))
+        m, trace = self.settle(tf, 0.001, 0.0001)
         assert trace.times[-1] == pytest.approx(921.03, rel=1e-4)
         assert 900.0 < m.ts < trace.times[-1]
         assert m.mp == pytest.approx(overshoot(0.01), rel=1e-4)
+        # the member's exact metrics, which round_trip reports, agree
+        exact = self.exact(tf, 0.001, 0.0001)
+        assert m.ts == pytest.approx(exact.ts, rel=1e-4)
+        assert m.tr == pytest.approx(exact.tr, rel=1e-3)
 
     @pytest.mark.parametrize("a", [0.0, 100.0])
     def test_repeated_pole_round_trips(self, a):
@@ -539,7 +552,8 @@ def _trace(times, values):
 
 
 class TestTraceMetrics:
-    """The metrics _settle reads off a trace against its final value."""
+    """The metrics the simulated reader, _trace_metrics, takes off a trace
+    such as settled_trace's, against its final value."""
 
     def test_constant_unit_trace(self):
         m = simulate._trace_metrics(_trace(np.linspace(0.0, 10.0, 50), np.ones(50)), 1.0, 0.03)
@@ -671,19 +685,19 @@ class TestMemberRoundTrip:
 
 
 class TestFinalTD:
-    def test_low_frequency_bounds_round_trip(self, example_wd_table, example_spec):
-        grid = make_grid(0.01, 100.0, 200)
-        bounds = select_restricted(example_wd_table, example_spec.wi, grid, "low")
-        result = round_trip(bounds, example_spec)
-        assert isinstance(result, FinalTD)
+    """The worked example's low-frequency bounds, both family members, by
+    each reader against the independent closed-form oracles."""
+
+    @staticmethod
+    def check(result, example_wd_table, example_spec):
         # the upper bound is the least-damped member of the wi-th harmonic
         # family: full overshoot, timings wi times faster than the base spec
         base = example_wd_table.pairs[0]
         w_up = example_spec.wi * base.omega_n
         assert result.upper.mp == pytest.approx(overshoot(base.zeta), abs=1e-3)
-        rise, settle = unit_times([base.zeta], ToleranceBand(example_spec.dev))
-        assert result.upper.tr == pytest.approx(rise[0] / w_up, rel=0.01)
-        assert result.upper.ts == pytest.approx(settle[0] / w_up, rel=0.02)
+        assert result.upper.tr == pytest.approx(oracle_rise_time(base.zeta, w_up), rel=0.01)
+        assert result.upper.ts == pytest.approx(
+            oracle_settling_time(base.zeta, example_spec.dev, w_up), rel=0.02)
         assert result.upper.final_value == pytest.approx(1.0, abs=1e-3)
         # the lower bound is the most heavily damped base member: essentially
         # no overshoot, and it still meets the requested timings
@@ -691,6 +705,24 @@ class TestFinalTD:
         assert result.lower.tr <= example_spec.tr
         assert result.lower.ts <= example_spec.ts
         assert result.lower.final_value == pytest.approx(1.0, abs=1e-3)
+
+    @staticmethod
+    def bounds(example_wd_table, example_spec):
+        grid = make_grid(0.01, 100.0, 200)
+        return select_restricted(example_wd_table, example_spec.wi, grid, "low")
+
+    def test_low_frequency_bounds_round_trip(self, example_wd_table, example_spec):
+        result = round_trip(self.bounds(example_wd_table, example_spec), example_spec)
+        assert isinstance(result, FinalTD)
+        self.check(result, example_wd_table, example_spec)
+
+    def test_low_frequency_bounds_through_the_simulated_reader(self, example_wd_table,
+                                                               example_spec):
+        bounds = self.bounds(example_wd_table, example_spec)
+        result = FinalTD(*[
+            simulate._trace_metrics(settled_trace(tf, example_spec), dc_gain(tf), example_spec.dev)
+            for tf in (bounds.lower, bounds.upper)])
+        self.check(result, example_wd_table, example_spec)
 
 
 class TestFormatTrace:

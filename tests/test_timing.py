@@ -20,14 +20,6 @@ from trackbounds import (
 )
 
 BAND = ToleranceBand(0.03)
-
-
-def unit_rise_time(zeta):
-    return float(unit_times([zeta], BAND)[0][0])
-
-
-def unit_settling_time(zeta, band):
-    return float(unit_times([zeta], band)[1][0])
 WORKED = Spec(mp=0.15, tr=5.0, ts=30.0, dev=0.03, wi=5)
 
 # frozen reference values from the independent bisection oracle in oracles.py
@@ -36,6 +28,14 @@ RISE_091723 = 2.9612920311054034
 RISE_096687 = 3.195725676852441
 SETTLE_051696 = 5.5814280585890765
 SETTLE_091723 = 4.569946158127828
+
+
+def unit_rise_time(zeta):
+    return float(unit_times([zeta], BAND)[0][0])
+
+
+def unit_settling_time(zeta, band):
+    return float(unit_times([zeta], band)[1][0])
 
 
 @pytest.fixture(scope="module")
